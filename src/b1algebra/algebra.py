@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_tables, table_automorphisms
-from .core_lattice import FinModule, module_morphisms, validate_module
+from .canonical import canonical_tables, table_maps
+from .core_lattice import FinModule, validate_module
 from .errors import (
     CollapsesZeroOne,
     LawViolation,
@@ -167,23 +167,13 @@ def algebra_morphism(source, target, mapping):
 
 
 def algebra_morphisms(source, target):
-    """All algebra morphisms, by filtering the module morphisms."""
-    out = []
-    for f in module_morphisms(source.module(), target.module()):
-        m = f.map
-        if m[source.unit] != target.unit:
-            continue
-        good = True
-        for a in range(source.size):
-            for b in range(source.size):
-                if m[source.mul[a][b]] != target.mul[m[a]][m[b]]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(AlgebraMorphism(source, target, m))
-    return out
+    """All algebra morphisms, sorted by map."""
+    pinned = {source.bottom: (target.bottom,), source.unit: (target.unit,)}
+    candidates = [pinned.get(x, range(target.size)) for x in range(source.size)]
+    maps = table_maps(
+        (source.sum, source.mul), (target.sum, target.mul), candidates
+    )
+    return [AlgebraMorphism(source, target, m) for m in maps]
 
 
 def validate_congruence(algebra, class_of):
@@ -392,17 +382,10 @@ def isomorphic(a_alg, b_alg):
 
 
 def algebra_automorphisms(algebra):
-    """All self-bijections fixing 0 and 1 preserving both tables."""
-    s, m, _ = _normal_tables(algebra)
-    order = [algebra.bottom, algebra.unit] + [
-        e for e in range(algebra.size) if e not in (algebra.bottom, algebra.unit)
-    ]
-    perms = table_automorphisms((s, m), algebra.size, pinned=2)
-    # translate back to the algebra's own labeling
-    out = []
-    for p in perms:
-        mapping = [0] * algebra.size
-        for i, e in enumerate(order):
-            mapping[e] = order[p[i]]
-        out.append(tuple(mapping))
-    return out
+    """All self-bijections fixing 0 and 1 preserving both tables, in
+    lexicographic order (the identity first)."""
+    fixed = (algebra.bottom, algebra.unit)
+    rest = tuple(e for e in range(algebra.size) if e not in fixed)
+    candidates = [(x,) if x in fixed else rest for x in range(algebra.size)]
+    tables = (algebra.sum, algebra.mul)
+    return table_maps(tables, tables, candidates, injective=True)

@@ -7,15 +7,17 @@ tuple over a set of admissible bijections, where "admissible" always
 means fixing a prefix of pinned positions (bottom, unit, a marked
 generator, ...).
 
-Minimizing over all prefix-fixing bijections (exact=True) is obviously
-a complete isomorphism invariant but costs (n-pinned)!. The default
-instead refines the elements into color classes (degree-style colors
+The elements are refined into color classes (degree-style colors
 recomputed until stable, pinned positions seeded with unique colors)
-and minimizes only over bijections that send each color class onto a
-fixed block of positions, laid out in color order. The coloring is an
-isomorphism invariant, so corresponding classes of isomorphic tables
-land in the same blocks and the restricted minimum is still complete;
-it just skips permutations that mix provably distinguishable elements.
+and the minimum is taken only over bijections that send each color
+class onto a fixed block of positions, laid out in color order. The
+coloring is an isomorphism invariant, so corresponding classes of
+isomorphic tables land in the same blocks and the restricted minimum
+is still complete; it just skips permutations that mix provably
+distinguishable elements.
+
+Hom sets (module, algebra and monoid morphisms, automorphisms) all
+come from one backtracking search, table_maps.
 """
 
 from __future__ import annotations
@@ -103,18 +105,11 @@ def _color_groups(colors, n, pinned):
     return [classes[c] for c in sorted(classes)]
 
 
-def admissible_perms(tables, n, pinned=0, exact=False, relabel=None):
-    """Bijections to minimize over.
-
-    exact: every bijection fixing 0..pinned-1. Otherwise: bijections
-    fixing the pinned prefix and sending each color class onto its
-    canonical position block (classes laid out in color order).
+def admissible_perms(tables, n, pinned=0, relabel=None):
+    """Bijections to minimize over: those fixing the pinned prefix and
+    sending each color class onto its canonical position block
+    (classes laid out in color order).
     """
-    if exact:
-        base = tuple(range(pinned))
-        for tail in permutations(range(pinned, n)):
-            yield base + tail
-        return
     colors = refine_colors(tables, n, pinned, relabel)
     groups = _color_groups(colors, n, pinned)
     blocks = []
@@ -129,7 +124,7 @@ def admissible_perms(tables, n, pinned=0, exact=False, relabel=None):
         yield tuple(perm)
 
 
-def canonical_tables(tables, n, pinned=0, exact=False, relabel=None):
+def canonical_tables(tables, n, pinned=0, relabel=None):
     """Lexicographically least tuple of relabeled tables.
 
     relabel: per-table flags for entry relabeling (default: all True).
@@ -137,7 +132,7 @@ def canonical_tables(tables, n, pinned=0, exact=False, relabel=None):
     if relabel is None:
         relabel = (True,) * len(tables)
     best = None
-    for perm in admissible_perms(tables, n, pinned, exact, relabel):
+    for perm in admissible_perms(tables, n, pinned, relabel):
         cand = tuple(
             apply_perm(t, perm, r) for t, r in zip(tables, relabel)
         )
@@ -146,26 +141,57 @@ def canonical_tables(tables, n, pinned=0, exact=False, relabel=None):
     return best
 
 
-def table_automorphisms(tables, n, pinned=0, relabel=None):
-    """All bijections fixing 0..pinned-1 that preserve every table.
+def table_automorphisms(tables, n, pinned=0):
+    """All bijections fixing 0..pinned-1 that preserve every table, in
+    lexicographic order (the identity first)."""
+    rest = range(pinned, n)
+    candidates = [(x,) for x in range(pinned)] + [rest] * (n - pinned)
+    return table_maps(tables, tables, candidates, injective=True)
 
-    Candidates are restricted to color-preserving bijections (an
-    automorphism can never mix distinguishable elements), then checked
-    exactly.
+
+def table_maps(src_tables, tgt_tables, candidates, injective=False):
+    """Every map f with f(x) in candidates[x] and
+    f(s[a][b]) == t[f(a)][f(b)] for each paired source table s and
+    target table t, as tuples in lexicographic order.
+
+    Images are assigned in index order. An element that is s[a][b] for
+    earlier a and b has its image forced, so only that value is tried,
+    and each law instance is checked as soon as the last of a, b and
+    s[a][b] has an image. injective=True keeps only one-to-one maps.
+    candidates[x] is an ascending sequence of target indices.
     """
-    if relabel is None:
-        relabel = (True,) * len(tables)
-    tables = tuple(tuple(map(tuple, t)) for t in tables)
-    colors = refine_colors(tables, n, pinned, relabel)
-    groups = _color_groups(colors, n, pinned)
-    found = []
-    for mapping in _assignments(groups, groups):
-        perm = list(range(pinned)) + [0] * (n - pinned)
-        for p, q in mapping.items():
-            perm[p] = q
-        perm = tuple(perm)
-        if all(
-            apply_perm(t, perm, r) == t for t, r in zip(tables, relabel)
-        ):
-            found.append(perm)
-    return found
+    n = len(candidates)
+    forced = [None] * n
+    checks = [[] for _ in range(n)]
+    for s, t in zip(src_tables, tgt_tables):
+        for a in range(n):
+            for b in range(n):
+                c = s[a][b]
+                checks[max(a, b, c)].append((t, a, b, c))
+                if c > a and c > b and forced[c] is None:
+                    forced[c] = (t, a, b)
+    f = [None] * n
+    out = []
+
+    def rec(x):
+        if x == n:
+            out.append(tuple(f))
+            return
+        if forced[x] is None:
+            options = candidates[x]
+        else:
+            t, a, b = forced[x]
+            v = t[f[a]][f[b]]
+            options = (v,) if v in candidates[x] else ()
+        for v in options:
+            if injective and v in f[:x]:
+                continue
+            f[x] = v
+            for t, a, b, c in checks[x]:
+                if f[c] != t[f[a]][f[b]]:
+                    break
+            else:
+                rec(x + 1)
+
+    rec(0)
+    return out

@@ -10,6 +10,7 @@ true property, 1 a false property or a count mismatch, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import FinAlgebra
@@ -41,6 +42,7 @@ from .polynomial import equal_mod_zero_set, evaluate, maxspec, parse_poly
 from .structure_io import load_structure, render_structure
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="b1", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

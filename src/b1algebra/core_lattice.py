@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import canonical_tables
+from .canonical import canonical_tables, table_maps
 from .errors import (
     LawViolation,
     NoBottom,
@@ -423,45 +423,15 @@ def submodule(mod, indices):
 
 
 def module_morphisms(source, target):
-    """Every bottom- and sum-preserving map, by brute force over
-    join-irreducible images (the rest of the map is forced)."""
-    irr = _irreducible_indices(source)
-    rest = [m for m in range(source.size) if m not in irr]
-    out = []
-
-    def build(assign):
-        mapping = [None] * source.size
-        for e, v in zip(irr, assign):
-            mapping[e] = v
-        for m in rest:
-            acc = target.bottom
-            for p, e in enumerate(irr):
-                if source.leq(e, m):
-                    acc = target.sum[acc][mapping[e]]
-            mapping[m] = acc
-        return tuple(mapping)
-
-    def ok(mapping):
-        if mapping[source.bottom] != target.bottom:
-            return False
-        for a in range(source.size):
-            for b in range(source.size):
-                if mapping[source.sum[a][b]] != target.sum[mapping[a]][mapping[b]]:
-                    return False
-        return True
-
-    def rec(i, assign):
-        if i == len(irr):
-            mapping = build(assign)
-            if ok(mapping):
-                out.append(ModuleMorphism(source, target, mapping))
-            return
-        for v in range(target.size):
-            rec(i + 1, assign + (v,))
-
-    rec(0, ())
-    out.sort(key=lambda f: f.map)
-    return out
+    """Every bottom- and sum-preserving map, sorted by map."""
+    candidates = [
+        (target.bottom,) if x == source.bottom else range(target.size)
+        for x in range(source.size)
+    ]
+    return [
+        ModuleMorphism(source, target, m)
+        for m in table_maps((source.sum,), (target.sum,), candidates)
+    ]
 
 
 def embeds_in_powerset(mod):

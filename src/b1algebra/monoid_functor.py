@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .algebra import algebra_morphism, algebra_morphisms, validate_algebra
-from .canonical import canonical_tables
+from .canonical import canonical_tables, table_maps
 from .errors import (
     LawViolation,
     NoUnit,
@@ -113,25 +112,15 @@ def monoid_morphism(source, target, mapping):
 
 
 def monoid_morphisms(source, target):
-    """Every morphism, by brute force over images of the non-unit part."""
-    spots = [x for x in range(source.size) if x != source.unit]
-    out = []
-    for images in product(range(target.size), repeat=len(spots)):
-        mapping = [0] * source.size
-        mapping[source.unit] = target.unit
-        for x, v in zip(spots, images):
-            mapping[x] = v
-        good = True
-        for a in range(source.size):
-            if not good:
-                break
-            for b in range(a, source.size):
-                if mapping[source.mul[a][b]] != target.mul[mapping[a]][mapping[b]]:
-                    good = False
-                    break
-        if good:
-            out.append(MonoidMorphism(source, target, tuple(mapping)))
-    return out
+    """Every unit- and product-preserving map, sorted by map."""
+    candidates = [
+        (target.unit,) if x == source.unit else range(target.size)
+        for x in range(source.size)
+    ]
+    return [
+        MonoidMorphism(source, target, m)
+        for m in table_maps((source.mul,), (target.mul,), candidates)
+    ]
 
 
 def cyclic_group(n):

@@ -19,6 +19,7 @@ skipped. Example:
 
 Modules and algebras must list the bottom at index 0; algebras must
 list the unit at index 1; monoids name their unit in a `one` line.
+A size above MAX_SIZE is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .errors import NoBottom, NoUnit, StructureParseError
 from .monoid_functor import FinMonoid, validate_monoid
 
 KINDS = ("module", "poset", "algebra", "monoid")
+# the largest structure the library builds itself: the free module of
+# rank AUTOMORPHISM_LIMIT = 6
+MAX_SIZE = 64
 
 
 def _lines(text):
@@ -103,9 +107,14 @@ def parse_structure(text):
         _fail("kind must be one of " + ", ".join(KINDS), num)
     kind = parts[1]
     num, parts = _take_keyword(lines, 1, "size")
-    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    size_text = parts[1] if len(parts) == 2 else ""
+    digits = size_text.lstrip("0")
+    if not (size_text.isascii() and size_text.isdigit()) or not digits:
         _fail("size must be a positive integer", num)
-    size = int(parts[1])
+    # digit count first: int() refuses very long digit strings
+    if len(digits) > len(str(MAX_SIZE)) or int(digits) > MAX_SIZE:
+        _fail(f"size is above the limit of {MAX_SIZE}", num)
+    size = int(digits)
     at = 2
     names = tuple(f"e{i}" for i in range(size))
     if at < len(lines) and lines[at][1].split()[0] == "names":

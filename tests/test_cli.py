@@ -214,3 +214,15 @@ def test_output_is_deterministic(capsys):
     second = invoke(capsys, "monogenic", "4", "--list")
     assert first == second
     assert invoke(capsys, "gl", "3") == invoke(capsys, "gl", "3")
+
+
+def test_consecutive_runs_share_no_state(capsys):
+    # the parser is built once per process; flags must not carry over
+    code, out = invoke(capsys, "gl", "2", "--maps")
+    assert code == 0 and "map:" in out
+    code, out = invoke(capsys, "gl", "2")
+    assert code == 0
+    assert out == "order: 2\naut 0: ()\naut 1: (0 1)\n"
+    assert run(["gl"]) == 2
+    capsys.readouterr()
+    assert invoke(capsys, "gl", "1") == (0, "order: 1\naut 0: ()\n")

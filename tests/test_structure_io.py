@@ -15,6 +15,7 @@ from b1algebra import (
     render_structure,
 )
 from b1algebra.errors import NoBottom, NoUnit, StructureParseError
+from b1algebra.structure_io import MAX_SIZE
 
 ALGEBRA_TEXT = """\
 kind algebra
@@ -127,6 +128,20 @@ def test_missing_keyword_reports_what_it_saw():
 def test_bad_size():
     assert err("kind module\nsize zero\n").line == 2
     assert err("kind module\nsize 0\n").line == 2
+    assert err("kind module\nsize \u00b2\n").line == 2
+    # refused before any name or row is built for it
+    for size in (str(10**12), "9" * 5000, "0" * 5000 + "65"):
+        e = err(f"kind module\nsize {size}\n")
+        assert e.line == 2
+        assert "above the limit of 64" in str(e)
+    assert parse_structure("kind module\nsize 001\nsum\ne0\n").size == 1
+
+
+def test_size_limit_admits_the_largest_built_structure():
+    free = free_module(6)
+    assert free.size == MAX_SIZE
+    back = parse_structure(render_structure(free))
+    assert (back.names, back.sum) == (free.names, free.sum)
 
 
 def test_wrong_name_count():
