@@ -71,7 +71,21 @@ class SizeTooLarge(B1Error):
 
 
 class TooLarge(B1Error):
-    """A closure process exceeded its element cap without stabilizing."""
+    """A presentation's quotient was not found within its element cap.
+
+    stage: 'search' when the bounded search for an implied power rule
+    gave up, which does not prove the quotient large; 'closure' when
+    the exact quotient has `size` elements, more than `bound`; 'model'
+    when a quotient of a power algebra with `size` elements satisfies
+    the relations, which proves the same (the census enumerator's
+    shrink trials only).
+    """
+
+    def __init__(self, message, stage, size=None, bound=None):
+        super().__init__(message)
+        self.stage = stage
+        self.size = size
+        self.bound = bound
 
 
 class VariableMismatch(B1Error):

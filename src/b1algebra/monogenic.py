@@ -138,33 +138,40 @@ def power_reduction_algebra(ps):
         raise SizeTooLarge(
             f"2^{m} elements; power structures cap at {CLOSE_CAP_LIMIT}"
         )
+    shift = _shift_table(ps)
+    size = 1 << m
+    sum_t = tuple(tuple(x | y for y in range(size)) for x in range(size))
+    mul_t = tuple(
+        tuple(_mask_mul(shift, x, y) for y in range(size)) for x in range(size)
+    )
+    names = tuple(
+        _compact(_exp_poly(_bits(mask))) for mask in range(size)
+    )
+    return FinAlgebra(names, sum_t, 0, mul_t, 1)
+
+
+def _shift_table(ps):
+    """shift[k][mask]: the exponent set `mask` times a^k, reduced by
+    the power rule; masks range over the subsets of {a^0 .. a^(m-1)}."""
+    m = _structure_size(ps)
     red = _reduction(ps, 2 * m)
     size = 1 << m
     shift = [[0] * size for _ in range(m)]
     for k in range(m):
+        row = shift[k]
         for mask in range(1, size):
             low = (mask & -mask).bit_length() - 1
             r = red[low + k]
-            shift[k][mask] = shift[k][mask & (mask - 1)] | (
-                0 if r is None else 1 << r
-            )
-    sum_t = tuple(tuple(x | y for y in range(size)) for x in range(size))
-    mul_t = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            acc = 0
-            t = x
-            while t:
-                k = (t & -t).bit_length() - 1
-                acc |= shift[k][y]
-                t &= t - 1
-            row.append(acc)
-        mul_t.append(tuple(row))
-    names = tuple(
-        _compact(_exp_poly(_bits(mask))) for mask in range(size)
-    )
-    return FinAlgebra(names, sum_t, 0, tuple(mul_t), 1)
+            row[mask] = row[mask & (mask - 1)] | (0 if r is None else 1 << r)
+    return shift
+
+
+def _mask_mul(shift, x, y):
+    acc = 0
+    while x:
+        acc |= shift[(x & -x).bit_length() - 1][y]
+        x &= x - 1
+    return acc
 
 
 def _bits(mask):
@@ -296,19 +303,15 @@ def _saturate_power_rule(rels, cap):
     return found_rule()
 
 
-def _close_in_power_algebra(ps, rels):
+def _close_in_power_algebra(ps, shift, rels):
     """Exact congruence closure of the relations inside the power-rule
-    algebra. A merge of a with b forces, for every single monomial g,
-    the merges of a+g with b+g and a*g with b*g; arbitrary elements
+    algebra whose shift table is given; returns the classes, keyed by
+    root. A merge of a with b forces, for every single monomial g, the
+    merges of a+g with b+g and a*g with b*g; arbitrary elements
     decompose into monomials, so this reaches full compatibility."""
-    R = power_reduction_algebra(ps)
-    m = _structure_size(ps)
-    size = R.size
-    max_exp = max(
-        [2 * m] + [e for l, r in rels for e in l | r]
-    )
-    red = _reduction(ps, max_exp)
-    parent = list(range(size))
+    m = len(shift)
+    red = _reduction(ps, max([0] + [e for l, r in rels for e in l | r]))
+    parent = list(range(1 << m))
 
     def find(x):
         while parent[x] != x:
@@ -325,20 +328,20 @@ def _close_in_power_algebra(ps, rels):
         return mask
 
     work = [(to_mask(l), to_mask(r)) for l, r in rels]
-    mono = [1 << k for k in range(m)]
     while work:
         a, b = work.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
         parent[rb] = ra
-        for g in mono:
-            work.append((R.sum[a][g], R.sum[b][g]))
-            work.append((R.mul[a][g], R.mul[b][g]))
+        for k in range(m):
+            g = 1 << k
+            work.append((a | g, b | g))
+            work.append((shift[k][a], shift[k][b]))
     classes = {}
-    for x in range(size):
+    for x in range(1 << m):
         classes.setdefault(find(x), []).append(x)
-    return R, classes
+    return classes
 
 
 def close_presentation(p, cap=CLOSE_CAP_LIMIT):
@@ -349,7 +352,8 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     bounded rewrite search for an implied power rule, and an exact
     congruence closure inside the power-rule algebra. The first and
     third stages are exact; only the middle one can give up, in which
-    case the answer is TooLarge rather than a guess.
+    case the answer is TooLarge with stage 'search' rather than a
+    guess. TooLarge with stage 'closure' is a proof.
     """
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
@@ -358,16 +362,29 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     ps = _saturate_power_rule(rels, cap)
     if ps is None:
         raise TooLarge(
-            "no power rule within the bound; the quotient is infinite "
-            "or out of reach"
+            "no power rule within the bound; the search gave up, which "
+            "does not prove the quotient infinite or larger than the cap",
+            stage="search",
         )
-    R, classes = _close_in_power_algebra(ps, rels)
+    return _close_exact(p, rels, ps, cap)
+
+
+def _close_exact(p, rels, ps, cap):
+    """close_presentation once the relations are known to imply the
+    power rule ps."""
+    shift = _shift_table(ps)
+    classes = _close_in_power_algebra(ps, shift, rels)
     if len(classes) > cap:
-        raise TooLarge(f"quotient has {len(classes)} elements, cap is {cap}")
-    return _algebra_from_classes(R, classes, ps, p)
+        raise TooLarge(
+            f"quotient has {len(classes)} elements, cap is {cap}",
+            stage="closure",
+            size=len(classes),
+            bound=cap,
+        )
+    return _algebra_from_classes(shift, classes, ps, p)
 
 
-def _algebra_from_classes(R, classes, ps, presentation):
+def _algebra_from_classes(shift, classes, ps, presentation):
     m = _structure_size(ps)
     red = _reduction(ps, max(1, m))
     reps = {root: min(members) for root, members in classes.items()}
@@ -390,14 +407,52 @@ def _algebra_from_classes(R, classes, ps, presentation):
     for a in range(k):
         for b in range(k):
             x, y = reps[order[a]], reps[order[b]]
-            sum_t[a][b] = pos[root_of[R.sum[x][y]]]
-            mul_t[a][b] = pos[root_of[R.mul[x][y]]]
+            sum_t[a][b] = pos[root_of[x | y]]
+            mul_t[a][b] = pos[root_of[_mask_mul(shift, x, y)]]
     names = tuple(
         _compact(_exp_poly(_bits(reps[root]))) for root in order
     )
     alg = validate_algebra(names, sum_t, mul_t)
     assert alg.bottom == 0 and alg.unit == 1
     return MonogenicAlgebra(alg, pos[gen_root], presentation)
+
+
+def _refute_by_model(rels, cap):
+    """Raise TooLarge when the power algebra of some ps with
+    cap < 2^m and m <= cap proves the quotient by the relations larger
+    than cap.
+
+    The closure of the relations there is generated by a and satisfies
+    them, so it is a quotient of the presented algebra: with more than
+    cap classes it is a model showing that the presented algebra has
+    more than cap elements, or is infinite.
+    """
+    for q in _power_structures(cap + 1):
+        if 1 << _structure_size(q) <= cap:
+            continue
+        size = len(_close_in_power_algebra(q, _shift_table(q), rels))
+        if size > cap:
+            raise TooLarge(
+                f"a quotient with {size} elements satisfies the relations, "
+                f"cap is {cap}",
+                stage="model",
+                size=size,
+                bound=cap,
+            )
+
+
+def _decide_trial(trial, ps, cap):
+    """close_presentation(trial, cap) for a shrink trial of a placement
+    with power structure ps of size at most cap: exact and without a
+    rewrite search when the trial still holds the power rule of ps, or
+    when a model proves its quotient too large."""
+    p = Presentation(tuple(trial))
+    rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
+    if _structure_relation(ps) in trial:
+        _check_not_collapsing(rels)
+        return _close_exact(p, rels, ps, cap)
+    _refute_by_model(rels, cap)
+    return close_presentation(p, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +485,7 @@ def _full_multiplicative_check(L, le, ps, g):
     red = _reduction(ps, 2 * m)
     size = 1 << m
     join_of = _mask_joins(L, g)
-    shifted = []
-    for t in range(m):
-        row = [0] * size
-        for mask in range(1, size):
-            low = (mask & -mask).bit_length() - 1
-            r = red[low + t]
-            row[mask] = row[mask & (mask - 1)] | (0 if r is None else 1 << r)
-        shifted.append(row)
+    shifted = _shift_table(ps)
     for s_mask in range(size):
         js = join_of[s_mask]
         for k in range(m):
@@ -552,6 +600,16 @@ def _derive_presentation(L, le, ps, g, result):
     join relations pin every remaining sum. Shrinking only drops a
     relation when re-closing what is left still gives the same marked
     algebra, so the output stays correct by construction.
+
+    Each trial list is decided in one of three ways, the first two
+    exact and without a rewrite search:
+    - it still holds the power rule of ps: its quotient is its closure
+      inside the power algebra of ps;
+    - it does not, but its closure inside the power algebra of some
+      ps' with cap < 2^m' and m' <= cap has more than cap classes: that
+      closure is a model proving the quotient too large, so the trial
+      is skipped;
+    - otherwise close_presentation decides it, search included.
     """
     m = len(g)
     exp_le = [[le[g[j]][g[k]] for k in range(m)] for j in range(m)]
@@ -594,7 +652,7 @@ def _derive_presentation(L, le, ps, g, result):
                 break
             trial = kept[:idx] + kept[idx + 1 :]
             try:
-                closed = close_presentation(Presentation(tuple(trial)), cap)
+                closed = _decide_trial(trial, ps, cap)
             except (TooLarge, CollapsesZeroOne):
                 continue
             if closed.algebra.size == result.algebra.size and marked_isomorphic(

@@ -4,7 +4,8 @@
 criterion. Where a second route exists in the package it is checked
 here too: table search for the small one-generator counts (criterion 3)
 and full map enumeration for automorphism groups (criterion 4). The
-census counts for sizes 6..8 are pinned, not yet re-derived.
+census counts for sizes 6..8 are pinned; size 6 alone is re-derived,
+by the closure-family count in test_monogenic.py.
 
 Criterion 2 deserves a note. The quadratic (3n^2 - 13n + 18)/2 fits the
 one-generator counts for sizes 2..5 and was a plausible guess beyond

@@ -6,10 +6,13 @@ powerset of the generator's powers are exactly intersection-closed
 families containing the full set (classes are keyed by their closure),
 and product compatibility reduces to the single monomial shift.
 """
+from itertools import combinations
+
 import pytest
 
 from b1algebra import (
     brute_force_count,
+    canonical_key,
     close_presentation,
     enumerate_monogenic,
     marked_isomorphic,
@@ -18,9 +21,16 @@ from b1algebra import (
     unmarked_count,
     zhu_formula,
 )
+from b1algebra import monogenic
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
+    Presentation,
+    _decide_trial,
+    _exp_poly,
+    _poly_exps,
     _power_structures,
+    _refute_by_model,
+    _structure_relation,
     _structure_size,
     power_reduction_algebra,
 )
@@ -129,10 +139,14 @@ def test_close_names_the_four_element_quotient():
 
 
 def test_close_rejects_infinite_quotients():
-    with pytest.raises(TooLarge):
-        close("a^2 + a = a^2")
-    with pytest.raises(TooLarge):
-        close("a + 1 = a")
+    for text, cap in (("a^2 + a = a^2", 12), ("a + 1 = a", 12), ("a^4 = 0", 3)):
+        # no power rule of size <= cap is found: a search, not a proof
+        with pytest.raises(TooLarge) as err:
+            close_presentation(parse_presentation(text), cap=cap)
+        assert (err.value.stage, err.value.size) == ("search", None)
+    with pytest.raises(TooLarge) as err:
+        close_presentation(parse_presentation("a^3 = 0"), cap=3)
+    assert (err.value.stage, err.value.size, err.value.bound) == ("closure", 8, 3)
 
 
 def test_close_rejects_collapse():
@@ -169,8 +183,8 @@ def test_unmarked_counts():
     ]
 
 
-def test_listing_at_four_is_stable():
-    assert [render_presentation(r.presentation) for r in enumerate_monogenic(4)] == [
+LISTINGS = {
+    4: [
         "a^3=0; a+1=1",
         "a^3=a^2; a+1=1",
         "a^3=a^2; a+1=a",
@@ -178,7 +192,64 @@ def test_listing_at_four_is_stable():
         "a^2=1",
         "a^2=a",
         "a+1=a^2",
-    ]
+    ],
+    5: [
+        "a^4=a^3; a+1=1",
+        "a^4=0; a+1=1",
+        "a^4=a^3; a+1=a",
+        "a+1=a^3; a^2+1=a^3",
+        "a^2+a=a^2; a+1=a^2+1",
+        "a^4=a^3; a^2+1=a^2; a+1=a^3",
+        "a^3=a^2; a^2+1=a^2",
+        "a^3=0; a^2+1=1; a^2+a=a",
+        "a^3=a^2; a^2+1=1",
+        "a^3=a; a^2+1=1; a^2+a=a+1",
+        "a^3=a; a^2+1=a^2; a+1=a^2+a",
+        "a^3=0; a^2+1=a+1",
+        "a^3=a^2; a^2+a=a; a^2+1=a+1",
+        "a^3=1; a+1=a^2+a+1",
+    ],
+    6: [
+        "a^5=a^4; a+1=1",
+        "a^5=0; a+1=1",
+        "a^5=a^4; a+1=a",
+        "a+1=a^4; a^2+1=a^4; a^3+1=a^4",
+        "a^3+a=a^3; a+1=a^3+1; a^2+1=a^3+1",
+        "a^3=a^2; a+1=a^2+a+1; a^2+1=a^2+a+1",
+        "a^3+1=a^3; a+1=a^4; a^2+1=a^4",
+        "a^2+1=a^2; a+1=a^4",
+        "a^4=a^2; a^2+1=a^2; a+1=a^3+a^2",
+        "a^4=a^3; a+1=a^3",
+        "a^2+1=a^3; a^2+a=a^3",
+        "a^2+a=a^2; a^2+1=a^3",
+        "a^3=a^2; a^2+a=a^2",
+        "a^2+1=a^2; a+1=a^3",
+        "a^2+1=a^2; a^2+a=a^3",
+        "a^4=a^3; a^2+1=a^2; a^2+a=a^2",
+        "a^3=a; a^2+1=1",
+        "a^3=a; a^2+1=a^2",
+        "a^3=0; a^2+a=a",
+        "a^3=a^2; a^2+a=a",
+        "a^4=a^3; a^2+1=1; a^2+a=a",
+        "a^4=0; a^2+1=1; a^2+a=a",
+        "a^4=0; a^2+a=a; a^3+1=1; a^2+1=a+1",
+        "a^4=a^3; a^3+1=1; a^2+1=a+1",
+        "a^3=0; a^2+1=1",
+        "a^4=a^2; a^2+1=1; a^2+a=a+1",
+        "a^4=a; a^3+1=1; a^2+a=a^2+a+1",
+        "a^3=a; a+1=a^2+a+1; a^2+a=a^2+a+1",
+        "a^4=a; a^3+1=a^3; a+1=a^3+a^2+a; a^2+1=a^3+a^2+a",
+        "a^4=a^3; a^2+a=a; a^3+1=a+1",
+        "a^4=0; a^3+1=a+1",
+        "a^4=1; a+1=a^3+a^2+a+1; a^2+1=a^3+a^2+a+1",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(LISTINGS))
+def test_listing_is_stable(n):
+    rendered = [render_presentation(r.presentation) for r in enumerate_monogenic(n)]
+    assert rendered == LISTINGS[n]
 
 
 def test_every_presentation_closes_back_to_its_class():
@@ -261,3 +332,89 @@ def test_six_element_witness_class_beyond_the_formula():
         if marked_isomorphic(s.algebra, s.generator, r.algebra, r.generator)
     ]
     assert len(found) == 1
+
+
+# ---------------------------------------------------------------------------
+# the shrink loop's exact decisions
+
+
+@pytest.fixture(scope="module")
+def shrink_trials():
+    """Every (trial, ps, cap) the presentation shrink loop decides for
+    sizes 2..5, recorded from an uncached enumeration."""
+    calls = []
+
+    def record(trial, ps, cap):
+        calls.append((tuple(trial), ps, cap))
+        return _decide_trial(trial, ps, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_decide_trial", record)
+        for n in (2, 3, 4, 5):
+            enumerate_monogenic.__wrapped__(n)
+    return calls
+
+
+def assert_model_proof_is_sound(rels, cap):
+    """A model verdict means close_presentation cannot succeed.
+    Returns whether a model refuted the relations."""
+    try:
+        _refute_by_model(rels, cap)
+    except TooLarge as err:
+        assert err.stage == "model" and err.size > err.bound == cap
+        p = Presentation(tuple((_exp_poly(l), _exp_poly(r)) for l, r in rels))
+        with pytest.raises(TooLarge):
+            close_presentation(p, cap)
+        return True
+    return False
+
+
+def test_model_proofs_hold_on_small_relation_lists():
+    powers = [frozenset()] + [frozenset((e,)) for e in range(5)]
+    binomials = list(combinations(powers, 2))
+    for cap in range(2, 7):
+        for k in (1, 2):
+            for rels in combinations(binomials, k):
+                assert_model_proof_is_sound(rels, cap)
+    sides = [frozenset(c) for k in range(6) for c in combinations(range(5), k)]
+    for rel in combinations(sides, 2):
+        assert_model_proof_is_sound([rel], 2)
+
+
+def test_model_proofs_hold_on_every_shrink_trial(shrink_trials):
+    proved = 0
+    for trial, ps, cap in shrink_trials:
+        if _structure_relation(ps) in trial:
+            continue
+        rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
+        proved += assert_model_proof_is_sound(rels, cap)
+    assert proved > 0
+
+
+def outcome(close):
+    try:
+        r = close()
+    except TooLarge as err:
+        return ("TooLarge", err.stage, err.size)
+    except CollapsesZeroOne:
+        return "CollapsesZeroOne"
+    return canonical_key(r.algebra, r.generator)
+
+
+def assert_shortcut_agrees(trial, ps, cap):
+    assert outcome(lambda: _decide_trial(trial, ps, cap)) == outcome(
+        lambda: close_presentation(Presentation(tuple(trial)), cap)
+    )
+
+
+def test_power_rule_shortcut_agrees_with_close(shrink_trials):
+    with_rule = [t for t in shrink_trials if _structure_relation(t[1]) in t[0]]
+    assert with_rule
+    for trial, ps, cap in with_rule:
+        assert_shortcut_agrees(trial, ps, cap)
+    powers = [_exp_poly(())] + [_exp_poly((e,)) for e in range(5)]
+    for ps in _power_structures(5):
+        # as in the shrink loop, the power rule is within the cap
+        for cap in range(_structure_size(ps), 7):
+            for rel in combinations(powers, 2):
+                assert_shortcut_agrees([_structure_relation(ps), rel], ps, cap)
