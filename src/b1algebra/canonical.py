@@ -1,11 +1,11 @@
 """Canonical forms for finite operation tables.
 
 Two structures given by n x n tables are isomorphic exactly when some
-bijection of {0..n-1} carries one family of tables onto the other. We
-canonicalize by taking the lexicographically least relabeled table
-tuple over a set of admissible bijections, where "admissible" always
-means fixing a prefix of pinned positions (bottom, unit, a marked
-generator, ...).
+bijection of {0..n-1} carries one family of tables onto the other. The
+exact canonical form, canonical_tables, is the lexicographically least
+relabeled table tuple over a set of admissible bijections, where
+"admissible" always means fixing a prefix of pinned positions (bottom,
+unit, a marked generator, ...).
 
 The elements are refined into color classes (degree-style colors
 recomputed until stable, pinned positions seeded with unique colors)
@@ -14,7 +14,19 @@ class onto a fixed block of positions, laid out in color order. The
 coloring is an isomorphism invariant, so corresponding classes of
 isomorphic tables land in the same blocks and the restricted minimum
 is still complete; it just skips permutations that mix provably
-distinguishable elements.
+distinguishable elements. The minimum is built row by row: a
+relabeling is dropped at its first row greater than the best one's,
+and its remaining rows are built only after a smaller row.
+
+canonical_classes deduplicates isomorphism classes by a cheaper key:
+the canonical form of the tables together with the 0/1 table
+R[x][y] = (t[x][y] == y) of each relabeled table t (the order of a
+join table; "x fixes y" for a monoid). The coloring cannot tell the
+non-bottom elements of a lattice apart from its join table alone, but
+it splits them on R, so the key tries few bijections. The key is a
+canonical form of a family derived invariantly from the tables, so it
+separates exactly the isomorphism classes; the exact form is computed
+once, for the first candidate of each class.
 
 Hom sets (module, algebra and monoid morphisms, automorphisms) all
 come from one backtracking search, table_maps.
@@ -22,25 +34,7 @@ come from one backtracking search, table_maps.
 
 from __future__ import annotations
 
-from itertools import permutations
-
-
-def apply_perm(table, perm, relabel_entries=True):
-    """Relabel an n x n table by a bijection of indices.
-
-    new[perm[i]][perm[j]] = perm[table[i][j]]   (entries are elements)
-    With relabel_entries=False entries are copied as-is (0/1 relation
-    tables, where entries are truth values rather than elements).
-    """
-    n = len(table)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    if relabel_entries:
-        return tuple(
-            tuple(perm[table[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
-        )
-    return tuple(tuple(table[inv[i]][inv[j]] for j in range(n)) for i in range(n))
+from itertools import permutations, product
 
 
 def refine_colors(tables, n, pinned=0, relabel=None):
@@ -79,25 +73,6 @@ def refine_colors(tables, n, pinned=0, relabel=None):
         colors = new
 
 
-def _assignments(groups, targets):
-    """All ways to map each group bijectively onto its target block."""
-
-    def rec(i):
-        if i == len(groups):
-            yield ()
-            return
-        for tail in rec(i + 1):
-            for img in permutations(targets[i]):
-                yield (img,) + tail
-
-    for combo in rec(0):
-        perm = {}
-        for grp, img in zip(groups, combo):
-            for p, q in zip(grp, img):
-                perm[p] = q
-        yield perm
-
-
 def _color_groups(colors, n, pinned):
     classes = {}
     for x in range(pinned, n):
@@ -115,13 +90,59 @@ def admissible_perms(tables, n, pinned=0, relabel=None):
     blocks = []
     offset = pinned
     for g in groups:
-        blocks.append(list(range(offset, offset + len(g))))
+        blocks.append(range(offset, offset + len(g)))
         offset += len(g)
-    for mapping in _assignments(groups, blocks):
-        perm = list(range(pinned)) + [0] * (n - pinned)
-        for p, q in mapping.items():
-            perm[p] = q
+    perm = list(range(n))
+    for images in product(*map(permutations, blocks)):
+        for grp, img in zip(groups, images):
+            for x, p in zip(grp, img):
+                perm[x] = p
         yield tuple(perm)
+
+
+def _relabeled_rows(tables, relabel, perm, inv):
+    """Rows of the relabeled tables in lexicographic order, table by
+    table: new[i][j] = perm[t[inv[i]][inv[j]]], with entries copied
+    as-is for tables whose relabel flag is False (0/1 relation tables,
+    where entries are truth values rather than elements)."""
+    for t, r in zip(tables, relabel):
+        for x in inv:
+            row = t[x]
+            if r:
+                yield tuple([perm[row[j]] for j in inv])
+            else:
+                yield tuple([row[j] for j in inv])
+
+
+def least_relabeling(tables, perms, relabel=None):
+    """The lexicographically least relabeled table tuple over perms
+    (perm[x] is the new index of x), and the first perm that gives it.
+
+    Each candidate is built one row at a time against the best so far:
+    it is dropped at its first greater row, and only after a smaller
+    row are its remaining rows built, as the new best.
+    """
+    if relabel is None:
+        relabel = (True,) * len(tables)
+    best = best_perm = None
+    for perm in perms:
+        inv = [0] * len(perm)
+        for x, p in enumerate(perm):
+            inv[p] = x
+        rows = _relabeled_rows(tables, relabel, perm, inv)
+        if best is None:
+            best, best_perm = list(rows), perm
+            continue
+        for k, row in enumerate(rows):
+            if row > best[k]:
+                break
+            if row < best[k]:
+                best[k:] = [row, *rows]
+                best_perm = perm
+                break
+    n = len(best_perm)
+    least = tuple(tuple(best[k * n:(k + 1) * n]) for k in range(len(tables)))
+    return least, best_perm
 
 
 def canonical_tables(tables, n, pinned=0, relabel=None):
@@ -129,16 +150,35 @@ def canonical_tables(tables, n, pinned=0, relabel=None):
 
     relabel: per-table flags for entry relabeling (default: all True).
     """
-    if relabel is None:
-        relabel = (True,) * len(tables)
-    best = None
-    for perm in admissible_perms(tables, n, pinned, relabel):
-        cand = tuple(
-            apply_perm(t, perm, r) for t, r in zip(tables, relabel)
+    perms = admissible_perms(tables, n, pinned, relabel)
+    return least_relabeling(tables, perms, relabel)[0]
+
+
+def canonical_classes(families, n, pinned=0, relabel=None):
+    """canonical_tables of one member of each isomorphism class among
+    the table tuples in families, sorted.
+
+    A candidate's key is the canonical form of its tables plus the 0/1
+    table t[x][y] == y of each relabeled table t; the exact form is
+    computed only for the first candidate with a new key. When no table
+    is relabeled the key already is the exact form.
+    """
+    forms = {}
+    for tables in families:
+        flags = (True,) * len(tables) if relabel is None else relabel
+        derived = tuple(
+            tuple(tuple(row[y] == y for y in range(n)) for row in t)
+            for t, r in zip(tables, flags)
+            if r
         )
-        if best is None or cand < best:
-            best = cand
-    return best
+        key = canonical_tables(
+            tables + derived, n, pinned, flags + (False,) * len(derived)
+        )
+        if key not in forms:
+            forms[key] = (
+                canonical_tables(tables, n, pinned, flags) if derived else key
+            )
+    return sorted(forms.values())
 
 
 def table_automorphisms(tables, n, pinned=0):

@@ -74,11 +74,12 @@ class TooLarge(B1Error):
     """A presentation's quotient was not found within its element cap.
 
     stage: 'search' when the bounded search for an implied power rule
-    gave up, which does not prove the quotient large; 'closure' when
-    the exact quotient has `size` elements, more than `bound`; 'model'
-    when a quotient of a power algebra with `size` elements satisfies
-    the relations, which proves the same (the census enumerator's
-    shrink trials only).
+    gave up and no model was found, which does not prove the quotient
+    large; 'closure' when the exact quotient has `size` elements, more
+    than `bound`; 'model' when a quotient of a power algebra with
+    `size` elements satisfies the relations, which proves the same
+    (close_presentation after a search that gave up, and the census
+    enumerator's shrink trials).
     """
 
     def __init__(self, message, stage, size=None, bound=None):

@@ -24,7 +24,7 @@ from .algebra import (
     marked_isomorphic,
     validate_algebra,
 )
-from .canonical import table_automorphisms
+from .canonical import least_relabeling, table_automorphisms
 from .core_lattice import _irreducible_indices, enumerate_lattices
 from .errors import B1Error, CollapsesZeroOne, SizeTooLarge, TooLarge
 from .polynomial import Poly, parse_poly, render_poly
@@ -351,9 +351,12 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     Three stages: an exact test for the fatal 0 = 1 collapse, a
     bounded rewrite search for an implied power rule, and an exact
     congruence closure inside the power-rule algebra. The first and
-    third stages are exact; only the middle one can give up, in which
-    case the answer is TooLarge with stage 'search' rather than a
-    guess. TooLarge with stage 'closure' is a proof.
+    third stages are exact; only the middle one can give up. Then a
+    model, the closure of the relations inside a small power algebra
+    with more than cap classes, proves the quotient too large
+    (TooLarge with stage 'model'); without one the answer is TooLarge
+    with stage 'search' rather than a guess. TooLarge with stage
+    'closure' or 'model' is a proof.
     """
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
@@ -361,6 +364,7 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     _check_not_collapsing(rels)
     ps = _saturate_power_rule(rels, cap)
     if ps is None:
+        _refute_by_model(rels, cap)
         raise TooLarge(
             "no power rule within the bound; the search gave up, which "
             "does not prove the quotient infinite or larger than the cap",
@@ -701,28 +705,23 @@ def _assemble(L, ps, g):
         (e for e in range(n) if e not in pinned),
         key=lambda e: (len(jset[e]), sorted(jset[e])),
     )
-    best = None
-    best_order = None
-    for tail in permutations(rest):
-        order = pinned + list(tail)
-        pos = {e: i for i, e in enumerate(order)}
-        sum_c = tuple(
-            tuple(pos[L.sum[order[i]][order[j]]] for j in range(n))
-            for i in range(n)
-        )
-        mul_c = tuple(
-            tuple(pos[mul[order[i]][order[j]]] for j in range(n))
-            for i in range(n)
-        )
-        if best is None or (sum_c, mul_c) < best:
-            best = (sum_c, mul_c)
-            best_order = order
+
+    def relabelings():
+        for tail in permutations(rest):
+            perm = [0] * n
+            for i, e in enumerate(pinned + list(tail)):
+                perm[e] = i
+            yield perm
+
+    # the first least relabeling names the elements, so ties keep it
+    best, perm = least_relabeling((L.sum, mul), relabelings())
+    best_order = sorted(range(n), key=perm.__getitem__)
     names = tuple(
         _compact(_exp_poly(_nf(jset[e], exp_le))) for e in best_order
     )
     alg = validate_algebra(names, best[0], best[1])
     assert alg.bottom == 0 and alg.unit == 1
-    result = MonogenicAlgebra(alg, best_order.index(gen), Presentation(()))
+    result = MonogenicAlgebra(alg, perm[gen], Presentation(()))
     pres = _derive_presentation(L, le, ps, g, result)
     return MonogenicAlgebra(alg, result.generator, pres)
 

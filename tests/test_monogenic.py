@@ -139,11 +139,16 @@ def test_close_names_the_four_element_quotient():
 
 
 def test_close_rejects_infinite_quotients():
-    for text, cap in (("a^2 + a = a^2", 12), ("a + 1 = a", 12), ("a^4 = 0", 3)):
-        # no power rule of size <= cap is found: a search, not a proof
+    for text, cap, size in (
+        ("a^2 + a = a^2", 12, 14),
+        ("a + 1 = a", 12, 13),
+        ("a^4 = 0", 3, 4),
+    ):
+        # the search finds no power rule of size <= cap; a model proves
+        # the quotient too large
         with pytest.raises(TooLarge) as err:
             close_presentation(parse_presentation(text), cap=cap)
-        assert (err.value.stage, err.value.size) == ("search", None)
+        assert (err.value.stage, err.value.size, err.value.bound) == ("model", size, cap)
     with pytest.raises(TooLarge) as err:
         close_presentation(parse_presentation("a^3 = 0"), cap=3)
     assert (err.value.stage, err.value.size, err.value.bound) == ("closure", 8, 3)
