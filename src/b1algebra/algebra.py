@@ -11,15 +11,14 @@ the tools the enumeration modules are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .canonical import canonical_tables, table_maps
-from .core_lattice import FinModule, validate_module
+from .core_lattice import FinModule, _check_map, _commutative_monoid, validate_module
 from .errors import (
     CollapsesZeroOne,
     LawViolation,
     NoUnit,
-    NotAssociative,
-    NotCommutative,
     NotDistributiveLaw,
     SizeTooLarge,
     ZeroEqualsOne,
@@ -96,51 +95,31 @@ def validate_algebra(names, sum_table, mul_table):
     sit at indices 0 and 1 (file loading is stricter).
     """
     mod = validate_module(names, sum_table)
-    n = mod.size
-    mul = tuple(tuple(row) for row in mul_table)
-    if len(mul) != n or any(len(r) != n for r in mul):
-        raise ValueError("mul table is not square")
-    for a in range(n):
-        for b in range(n):
-            if not isinstance(mul[a][b], int) or not 0 <= mul[a][b] < n:
-                raise ValueError(f"mul entry ({a},{b}) is not an index")
-            if mul[a][b] != mul[b][a]:
-                raise NotCommutative(
-                    f"{names[a]}*{names[b]} != {names[b]}*{names[a]}",
-                    witness=(a, b),
-                    op="mul",
-                )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotAssociative(
-                        "product is not associative", witness=(a, b, c), op="mul"
-                    )
-    unit = None
-    for u in range(n):
-        if all(mul[u][a] == a for a in range(n)):
-            unit = u
-            break
+    names, add, zero = mod.names, mod.sum, mod.bottom
+    mul = tuple(map(tuple, mul_table))
+    unit = _commutative_monoid(names, mul, op="mul")
     if unit is None:
         raise NoUnit("no element is neutral for the product")
-    if unit == mod.bottom:
+    if unit == zero:
         raise ZeroEqualsOne("bottom and unit coincide")
-    for a in range(n):
-        if mul[mod.bottom][a] != mod.bottom:
-            raise ZeroNotAbsorbing(
-                f"0*{names[a]} = {names[mul[mod.bottom][a]]}", witness=(a,)
-            )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[a][mod.sum[b][c]] != mod.sum[mul[a][b]][mul[a][c]]:
-                    raise NotDistributiveLaw(
-                        f"{names[a]}*({names[b]}+{names[c]}) != "
-                        f"{names[a]}*{names[b]} + {names[a]}*{names[c]}",
-                        witness=(a, b, c),
-                    )
-    return FinAlgebra(mod.names, mod.sum, mod.bottom, mul, unit)
+    for a, v in enumerate(mul[zero]):
+        if v != zero:
+            raise ZeroNotAbsorbing(f"0*{names[a]} = {names[v]}", witness=(a,))
+    # over all c, a*(b+c) is row a read through row b+ and
+    # a*b + a*c is row (a*b)+ read through row a
+    reads = [itemgetter(*row) for row in add]
+    for a, ma in enumerate(mul):
+        read_a = itemgetter(*ma)
+        for b, read_b in enumerate(reads):
+            lhs, sab = read_b(ma), add[ma[b]]
+            if lhs != read_a(sab):
+                c = next(c for c in range(len(names)) if lhs[c] != sab[ma[c]])
+                raise NotDistributiveLaw(
+                    f"{names[a]}*({names[b]}+{names[c]}) != "
+                    f"{names[a]}*{names[b]} + {names[a]}*{names[c]}",
+                    witness=(a, b, c),
+                )
+    return FinAlgebra(names, add, zero, mul, unit)
 
 
 def b1_algebra():
@@ -150,19 +129,8 @@ def b1_algebra():
 
 def algebra_morphism(source, target, mapping):
     """Validate a map as an algebra morphism and wrap it."""
-    mapping = tuple(mapping)
-    if len(mapping) != source.size:
-        raise ValueError("map length does not match the source size")
-    if mapping[source.bottom] != target.bottom:
-        raise LawViolation("bottom is not sent to bottom")
-    if mapping[source.unit] != target.unit:
-        raise LawViolation("unit is not sent to unit")
-    for a in range(source.size):
-        for b in range(source.size):
-            if mapping[source.sum[a][b]] != target.sum[mapping[a]][mapping[b]]:
-                raise LawViolation("f(a+b) != f(a)+f(b)", witness=(a, b), op="sum")
-            if mapping[source.mul[a][b]] != target.mul[mapping[a]][mapping[b]]:
-                raise LawViolation("f(ab) != f(a)f(b)", witness=(a, b), op="mul")
+    pinned, ops = ("bottom", "unit"), ("sum", "mul")
+    mapping = _check_map(source, target, mapping, pinned, ops)
     return AlgebraMorphism(source, target, mapping)
 
 
@@ -318,17 +286,6 @@ def all_congruences(algebra):
 
     rec(0, [], 0)
     return out
-
-
-def coarsens(c1, c2):
-    """Def-4.3 comparison: every c2-class lies inside a c1-class."""
-    image = {}
-    for e in range(len(c2.class_of)):
-        c = c2.class_of[e]
-        d = c1.class_of[e]
-        if image.setdefault(c, d) != d:
-            return False
-    return True
 
 
 def _normal_tables(algebra, mark=None):

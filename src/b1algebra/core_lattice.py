@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from operator import itemgetter
 
 # canonical_tables is bound here too: perfbench/check_bench.py checks
 # that the tracer wraps its alias in this module
@@ -84,7 +84,18 @@ class ModuleMorphism:
         return self.map[i]
 
 
-def _check_square(table, n):
+def _commutative_monoid(names, table, op=None, idempotent=False):
+    """The one law check of modules, algebras and monoids: is the tuple
+    table a commutative monoid law on the distinct names? Returns its
+    first neutral element, or None.
+
+    ValueError for repeated names, a table that is not square or an
+    entry that is not an index; then NotIdempotent (only if asked),
+    NotCommutative or NotAssociative with the first witness and op.
+    """
+    n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("element names must be distinct")
     if len(table) != n:
         raise ValueError(f"table has {len(table)} rows, expected {n}")
     for i, row in enumerate(table):
@@ -93,6 +104,74 @@ def _check_square(table, n):
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"entry ({i},{j}) = {v!r} is not an index")
+    sym = "*" if op == "mul" else "+"
+    if idempotent:
+        for a in range(n):
+            if table[a][a] != a:
+                raise NotIdempotent(
+                    f"{names[a]}{sym}{names[a]} = {names[table[a][a]]}",
+                    witness=(a,),
+                    op=op,
+                )
+    # rows 0..a-1 equal their columns, so row a first differs at b > a
+    for a, (row, col) in enumerate(zip(table, zip(*table))):
+        if row != col:
+            b = next(b for b in range(n) if row[b] != col[b])
+            raise NotCommutative(
+                f"{names[a]}{sym}{names[b]} != {names[b]}{sym}{names[a]}",
+                witness=(a, b),
+                op=op,
+            )
+    # over all c, (a.b).c is row a.b and a.(b.c) is row a read through
+    # row b; a one-element table is associative
+    reads = [itemgetter(*row) for row in table] if n > 1 else ()
+    for a, ra in enumerate(table):
+        for b, read_b in enumerate(reads):
+            rab = table[ra[b]]
+            if rab != read_b(ra):
+                rb = table[b]
+                c = next(c for c in range(n) if rab[c] != ra[rb[c]])
+                x, y, z = names[a], names[b], names[c]
+                raise NotAssociative(
+                    f"({x}{sym}{y}){sym}{z} != {x}{sym}({y}{sym}{z})",
+                    witness=(a, b, c),
+                    op=op,
+                )
+    identity = tuple(range(n))
+    return next((z for z, row in enumerate(table) if row == identity), None)
+
+
+def _check_map(source, target, mapping, pinned, ops):
+    """The one preservation check of module, algebra and monoid
+    morphisms; returns the map as a tuple.
+
+    ValueError unless the map has one entry per source element, each a
+    target index. Then LawViolation with witness (x,) for the first
+    pinned element x (an attribute: 'bottom', 'unit') not sent to its
+    counterpart, or with witness (a, b) and op for the first pair
+    a <= b, in ascending order, where a table op ('sum', 'mul') is not
+    preserved; the tables are commutative, so no pair b < a fails first.
+    """
+    f = tuple(mapping)
+    if len(f) != source.size:
+        raise ValueError("map length does not match the source size")
+    for x, v in enumerate(f):
+        if not isinstance(v, int) or not 0 <= v < target.size:
+            raise ValueError(f"map entry {x} = {v!r} is not a target index")
+    for what in pinned:
+        x = getattr(source, what)
+        if f[x] != getattr(target, what):
+            raise LawViolation(f"{what} is not sent to {what}", witness=(x,))
+    tables = [(op, getattr(source, op), getattr(target, op)) for op in ops]
+    for a in range(source.size):
+        for b in range(a, source.size):
+            for op, s, t in tables:
+                if f[s[a][b]] != t[f[a]][f[b]]:
+                    sym = "*" if op == "mul" else "+"
+                    raise LawViolation(
+                        f"f(a{sym}b) != f(a){sym}f(b)", witness=(a, b), op=op
+                    )
+    return f
 
 
 def validate_module(names, sum_table):
@@ -104,39 +183,10 @@ def validate_module(names, sum_table):
     neutral element is the least element.
     """
     names = tuple(names)
-    n = len(names)
-    if n == 0:
+    if not names:
         raise ValueError("a module needs at least one element")
-    if len(set(names)) != n:
-        raise ValueError("element names must be distinct")
-    table = tuple(tuple(row) for row in sum_table)
-    _check_square(table, n)
-    for a in range(n):
-        if table[a][a] != a:
-            raise NotIdempotent(
-                f"{names[a]}+{names[a]} = {names[table[a][a]]}", witness=(a,)
-            )
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] != table[b][a]:
-                raise NotCommutative(
-                    f"{names[a]}+{names[b]} != {names[b]}+{names[a]}",
-                    witness=(a, b),
-                )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAssociative(
-                        f"({names[a]}+{names[b]})+{names[c]} != "
-                        f"{names[a]}+({names[b]}+{names[c]})",
-                        witness=(a, b, c),
-                    )
-    bottom = None
-    for z in range(n):
-        if all(table[z][a] == a for a in range(n)):
-            bottom = z
-            break
+    table = tuple(map(tuple, sum_table))
+    bottom = _commutative_monoid(names, table, idempotent=True)
     if bottom is None:
         raise NoBottom("no element is neutral for the sum")
     return FinModule(names, table, bottom)
@@ -149,25 +199,8 @@ def b1_module():
 
 def module_morphism(source, target, mapping):
     """Validate bottom and sum preservation, then wrap the map."""
-    mapping = tuple(mapping)
-    if len(mapping) != source.size:
-        raise ValueError("map length does not match the source size")
-    if mapping[source.bottom] != target.bottom:
-        raise LawViolation("bottom is not sent to bottom", witness=(source.bottom,))
-    for a in range(source.size):
-        for b in range(source.size):
-            if mapping[source.sum[a][b]] != target.sum[mapping[a]][mapping[b]]:
-                raise LawViolation(
-                    "f(a+b) != f(a)+f(b)", witness=(a, b), op="sum"
-                )
+    mapping = _check_map(source, target, mapping, ("bottom",), ("sum",))
     return ModuleMorphism(source, target, mapping)
-
-
-def compose(f, g):
-    """f after g."""
-    if g.target is not f.source and g.target != f.source:
-        raise ValueError("morphisms do not compose")
-    return ModuleMorphism(g.source, f.target, tuple(f.map[i] for i in g.map))
 
 
 def is_bijective(f):
@@ -204,26 +237,6 @@ def validate_poset(names, leq):
                 if table[a][b] and table[b][c] and not table[a][c]:
                     raise LawViolation("leq is not transitive", witness=(a, b, c))
     return FinPoset(names, table)
-
-
-def poset_from_relations(names, pairs):
-    """Build a poset from strict generating relations (a below b).
-
-    Takes the reflexive-transitive closure; antisymmetry is validated.
-    """
-    names = tuple(names)
-    n = len(names)
-    idx = {m: i for i, m in enumerate(names)}
-    leq = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in pairs:
-        leq[idx[a]][idx[b]] = 1
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = 1
-    return validate_poset(names, leq)
 
 
 def module_of_order(poset):
@@ -329,7 +342,10 @@ def join_irreducibles(mod):
     it, which is what makes the Birkhoff map injective on distributive
     modules.
     """
-    idx = _irreducible_indices(mod)
+    return _sub_poset(mod, _irreducible_indices(mod))
+
+
+def _sub_poset(mod, idx):
     names = tuple(mod.names[i] for i in idx)
     leq = tuple(
         tuple(1 if mod.leq(a, b) else 0 for b in idx) for a in idx
@@ -362,7 +378,10 @@ def _set_name(names, mask):
 
 def downset_lattice(poset):
     """The module of down-closed subsets under union. Always distributive."""
-    masks = _downset_masks(poset)
+    return _downset_module(poset, _downset_masks(poset))
+
+
+def _downset_module(poset, masks):
     pos = {m: i for i, m in enumerate(masks)}
     table = tuple(
         tuple(pos[a | b] for b in masks) for a in masks
@@ -377,8 +396,9 @@ def birkhoff(mod):
     Always a morphism; an isomorphism exactly when mod is distributive.
     """
     idx = _irreducible_indices(mod)
-    target = downset_lattice(join_irreducibles(mod))
-    masks = _downset_masks(join_irreducibles(mod))
+    poset = _sub_poset(mod, idx)
+    masks = _downset_masks(poset)
+    target = _downset_module(poset, masks)
     pos = {m: i for i, m in enumerate(masks)}
     mapping = []
     for m in range(mod.size):
@@ -404,26 +424,6 @@ def powerset_module(n):
     return FinModule(names, table, 0)
 
 
-def submodule(mod, indices):
-    """Restrict to a sum-closed subset containing the bottom."""
-    indices = tuple(indices)
-    if mod.bottom not in indices:
-        raise LawViolation("a submodule must contain the bottom")
-    pos = {e: i for i, e in enumerate(indices)}
-    for a in indices:
-        for b in indices:
-            if mod.sum[a][b] not in pos:
-                raise LawViolation(
-                    "subset is not closed under the sum", witness=(a, b)
-                )
-    table = tuple(
-        tuple(pos[mod.sum[a][b]] for b in indices) for a in indices
-    )
-    return FinModule(
-        tuple(mod.names[i] for i in indices), table, pos[mod.bottom]
-    )
-
-
 def module_morphisms(source, target):
     """Every bottom- and sum-preserving map, sorted by map."""
     candidates = [
@@ -447,27 +447,14 @@ def embeds_in_powerset(mod):
     nothing, which is why the meet condition matters.
     """
     n = mod.size
-    mt = _meet_table(mod)
-    nonbottom = [x for x in range(n) if x != mod.bottom]
-    filters = []
-    for r in range(len(nonbottom) + 1):
-        for chosen in combinations(nonbottom, r):
-            inside = [False] * n
-            for x in chosen:
-                inside[x] = True
-            good = True
-            for a in range(n):
-                for b in range(n):
-                    if inside[mod.sum[a][b]] != (inside[a] or inside[b]):
-                        good = False
-                        break
-                    if inside[mt[a][b]] != (inside[a] and inside[b]):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                filters.append(tuple(inside))
+    maps = table_maps(
+        (mod.sum, _meet_table(mod)),
+        (SCALAR_SUM, SCALAR_MUL),
+        [(0,) if x == mod.bottom else (0, 1) for x in range(n)],
+    )
+    # each map is the indicator of a prime filter (or the zero map),
+    # listed by size and then by members
+    filters = sorted(maps, key=lambda f: (sum(f), [x for x in range(n) if f[x]]))
     vectors = [tuple(f[m] for f in filters) for m in range(n)]
     if len(set(vectors)) != n:
         return False, None

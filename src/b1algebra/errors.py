@@ -3,7 +3,11 @@
 Every validation failure carries enough data to reproduce it: the
 offending elements (as indices) and, where relevant, which operation
 broke. Witnesses are always the lexicographically first offenders found
-by an ascending scan, so error messages are deterministic.
+by an ascending scan, so error messages are deterministic. The
+commutative monoid laws of every module, algebra and monoid are
+checked by one routine (core_lattice._commutative_monoid), and every
+morphism's preservation by another (core_lattice._check_map), so a
+defect gets the same witness whichever structure carries it.
 """
 
 from __future__ import annotations

@@ -215,12 +215,15 @@ def _saturate_power_rule(rels, cap):
     One-step rewrites: wherever a shifted relation side sits inside a
     polynomial, replace it by the other side, optionally keeping part
     of the overlap (an equal polynomial either way). Union-find over
-    every polynomial seen, bounded in degree and universe size.
+    every polynomial seen, bounded in universe size and in degree, by
+    twice the larger of cap and the highest exponent in the relations
+    plus a pad.
     Returns the smallest ('nil', t) or ('cycle', i, p) found with
     index+period <= cap, or None. Finding none does not prove none
     exists; the caller reports TooLarge honestly.
     """
-    degree_bound = 2 * cap + _SATURATION_PAD
+    top = max((e for l, r in rels for e in l | r), default=0)
+    degree_bound = 2 * max(cap, top) + _SATURATION_PAD
     ids = {}
     parent = []
     todo = deque()
@@ -246,8 +249,6 @@ def _saturate_power_rule(rels, cap):
 
     sides = []
     for l, r in rels:
-        if max(l | r, default=0) > degree_bound:
-            continue
         sides.append((l, r))
         sides.append((r, l))
         union(intern(l), intern(r))

@@ -18,12 +18,10 @@ from .algebra import algebra_morphism, algebra_morphisms, validate_algebra
 # canonical_tables is bound here too: perfbench/check_bench.py checks
 # that the tracer wraps its alias in this module
 from .canonical import canonical_classes, canonical_tables, table_maps  # noqa: F401
+from .core_lattice import _check_map, _commutative_monoid
 from .errors import (
-    LawViolation,
     NoUnit,
     NotAGroup,
-    NotAssociative,
-    NotCommutative,
     NotSubmonoid,
     SizeTooLarge,
 )
@@ -60,56 +58,15 @@ class MonoidMorphism:
 
 def validate_monoid(names, mul):
     names = tuple(names)
-    n = len(names)
-    mul = tuple(tuple(row) for row in mul)
-    if len(mul) != n or any(len(row) != n for row in mul):
-        raise ValueError("mul table is not square")
-    for row in mul:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError("table entry out of range")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if mul[a][b] != mul[b][a]:
-                raise NotCommutative(
-                    f"{names[a]}*{names[b]} != {names[b]}*{names[a]}",
-                    witness=(a, b),
-                    op="mul",
-                )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotAssociative(
-                        "product depends on grouping",
-                        witness=(a, b, c),
-                        op="mul",
-                    )
-    unit = None
-    for e in range(n):
-        if all(mul[e][x] == x for x in range(n)):
-            unit = e
-            break
+    mul = tuple(map(tuple, mul))
+    unit = _commutative_monoid(names, mul, op="mul")
     if unit is None:
         raise NoUnit("no neutral element for the product")
     return FinMonoid(names, mul, unit)
 
 
 def monoid_morphism(source, target, mapping):
-    mapping = tuple(mapping)
-    if len(mapping) != source.size:
-        raise ValueError("map length does not match the source size")
-    for v in mapping:
-        if not 0 <= v < target.size:
-            raise ValueError("map entry out of range")
-    if mapping[source.unit] != target.unit:
-        raise LawViolation("unit is not sent to unit")
-    for a in range(source.size):
-        for b in range(a, source.size):
-            if mapping[source.mul[a][b]] != target.mul[mapping[a]][mapping[b]]:
-                raise LawViolation(
-                    "f(ab) != f(a)f(b)", witness=(a, b), op="mul"
-                )
+    mapping = _check_map(source, target, mapping, ("unit",), ("mul",))
     return MonoidMorphism(source, target, mapping)
 
 

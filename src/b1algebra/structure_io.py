@@ -58,8 +58,11 @@ def _take_keyword(lines, at, word):
     return num, parts
 
 
-def _read_rows(lines, at, size, index, num_header):
-    """size rows of size entries, mapped through the name index."""
+def _read_block(
+    lines, at, size, index, num_header, unknown="unknown element `{}`"
+):
+    """size rows of size entries, mapped through index; an entry
+    outside it fails with the message unknown.format(entry)."""
     rows = []
     for r in range(size):
         if at >= len(lines):
@@ -72,27 +75,8 @@ def _read_rows(lines, at, size, index, num_header):
         row = []
         for e in entries:
             if e not in index:
-                _fail(f"unknown element `{e}`", num, body.index(e) + 1)
+                _fail(unknown.format(e), num, body.index(e) + 1)
             row.append(index[e])
-        rows.append(tuple(row))
-    return tuple(rows), at
-
-
-def _read_bits(lines, at, size, num_header):
-    rows = []
-    for r in range(size):
-        if at >= len(lines):
-            _fail(f"missing row {r + 1} of the block", num_header)
-        num, body = lines[at]
-        at += 1
-        entries = body.split()
-        if len(entries) != size:
-            _fail(f"row has {len(entries)} entries, expected {size}", num, 1)
-        row = []
-        for e in entries:
-            if e not in ("0", "1"):
-                _fail(f"leq entries are 0 or 1, got `{e}`", num, body.index(e) + 1)
-            row.append(int(e))
         rows.append(tuple(row))
     return tuple(rows), at
 
@@ -130,13 +114,16 @@ def parse_structure(text):
 
     if kind == "poset":
         num, parts = _take_keyword(lines, at, "leq")
-        leq, at = _read_bits(lines, at + 1, size, num)
+        leq, at = _read_block(
+            lines, at + 1, size, {"0": 0, "1": 1}, num,
+            "leq entries are 0 or 1, got `{}`",
+        )
         _expect_end(lines, at)
         return FinPoset(names, leq)
 
     if kind == "module":
         num, parts = _take_keyword(lines, at, "sum")
-        sum_t, at = _read_rows(lines, at + 1, size, index, num)
+        sum_t, at = _read_block(lines, at + 1, size, index, num)
         _expect_end(lines, at)
         mod = validate_module(names, sum_t)
         if mod.bottom != 0:
@@ -145,9 +132,9 @@ def parse_structure(text):
 
     if kind == "algebra":
         num, parts = _take_keyword(lines, at, "sum")
-        sum_t, at = _read_rows(lines, at + 1, size, index, num)
+        sum_t, at = _read_block(lines, at + 1, size, index, num)
         num, parts = _take_keyword(lines, at, "mul")
-        mul_t, at = _read_rows(lines, at + 1, size, index, num)
+        mul_t, at = _read_block(lines, at + 1, size, index, num)
         _expect_end(lines, at)
         alg = validate_algebra(names, sum_t, mul_t)
         if alg.bottom != 0:
@@ -157,7 +144,7 @@ def parse_structure(text):
         return alg
 
     num, parts = _take_keyword(lines, at, "mul")
-    mul_t, at = _read_rows(lines, at + 1, size, index, num)
+    mul_t, at = _read_block(lines, at + 1, size, index, num)
     num, parts = _take_keyword(lines, at, "one")
     if len(parts) != 2:
         _fail("one takes a single element name", num)

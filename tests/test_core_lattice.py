@@ -1,4 +1,6 @@
 """Lattice core: validation, order round trips, Birkhoff machinery."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -386,6 +388,41 @@ def test_powerset_sublattice_embedding_matches_distributivity():
     for n in range(1, 6):
         for mod in enumerate_lattices(n):
             assert embeds_in_powerset(mod)[0] == is_distributive(mod)[0]
+
+
+def subset_loop_filters(mod):
+    """The prime filters found by trying every set of non-bottom
+    elements, smallest first: the reference for embeds_in_powerset."""
+    n = mod.size
+    mt = [[meet(mod, a, b) for b in range(n)] for a in range(n)]
+    nonbottom = [x for x in range(n) if x != mod.bottom]
+    filters = []
+    for r in range(len(nonbottom) + 1):
+        for chosen in combinations(nonbottom, r):
+            inside = [x in chosen for x in range(n)]
+            if all(
+                inside[mod.sum[a][b]] == (inside[a] or inside[b])
+                and inside[mt[a][b]] == (inside[a] and inside[b])
+                for a in range(n)
+                for b in range(n)
+            ):
+                filters.append(inside)
+    return filters
+
+
+def test_powerset_embedding_agrees_with_the_subset_loop():
+    for n in range(1, 8):
+        for mod in enumerate_lattices(n):
+            filters = subset_loop_filters(mod)
+            ok, f = embeds_in_powerset(mod)
+            separated = len({tuple(p[m] for p in filters) for m in range(n)}) == n
+            assert ok == separated
+            if ok:
+                assert f.target.size == 1 << len(filters)
+                assert f.map == tuple(
+                    sum(1 << i for i, p in enumerate(filters) if p[m])
+                    for m in range(n)
+                )
 
 
 @st.composite

@@ -154,6 +154,15 @@ def test_close_rejects_infinite_quotients():
     assert (err.value.stage, err.value.size, err.value.bound) == ("closure", 8, 3)
 
 
+def test_search_bound_reaches_the_highest_exponent():
+    # cap 3 is below the relation's exponent 4, so the rewrite search
+    # must reach degrees beyond 2 * cap to find a = 1
+    for cap in (3, 4):
+        r = close_presentation(parse_presentation("1 = a^3 + a^4"), cap=cap)
+        assert r.algebra.names == ("0", "1")
+        assert r.generator == 1
+
+
 def test_close_rejects_collapse():
     with pytest.raises(CollapsesZeroOne):
         close("a = 0; a = 1")
