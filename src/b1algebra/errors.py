@@ -82,8 +82,9 @@ class TooLarge(B1Error):
     large; 'closure' when the exact quotient has `size` elements, more
     than `bound`; 'model' when a quotient of a power algebra with
     `size` elements satisfies the relations, which proves the same
-    (close_presentation after a search that gave up, and the census
-    enumerator's shrink trials).
+    (close_presentation tries the models after a search that gave up;
+    the census's presentation shrink tries them first on a trial that
+    lost its power rule).
     """
 
     def __init__(self, message, stage, size=None, bound=None):

@@ -13,8 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core_lattice import FinModule, ModuleMorphism, powerset_module
-from .errors import SizeTooLarge
+from .core_lattice import (
+    FinModule,
+    ModuleMorphism,
+    _check_map,
+    is_bijective,
+    powerset_module,
+)
+from .errors import LawViolation, SizeTooLarge
 
 AUTOMORPHISM_LIMIT = 6
 
@@ -151,17 +157,11 @@ def automorphisms(n):
     out = []
     for image in permutations(range(n)):
         aut = perm_to_aut(Permutation(image))
-        free = aut.source
-        ok = aut.map[0] == 0 and len(set(aut.map)) == free.size
-        if ok:
-            for a in range(free.size):
-                for b in range(free.size):
-                    if aut.map[a | b] != aut.map[a] | aut.map[b]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        try:
+            _check_map(aut.source, aut.target, aut.map, ("bottom",), ("sum",))
+        except LawViolation:
+            continue
+        if is_bijective(aut):
             out.append(aut)
     return out
 

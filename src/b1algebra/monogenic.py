@@ -345,25 +345,40 @@ def _close_in_power_algebra(ps, shift, rels):
     return classes
 
 
+def _stated_power_rule(rels, cap):
+    """The smallest power rule of size at most cap that a relation
+    states outright, a^t = 0 or a^j = a^i with i < j, or None."""
+    stated = []
+    for l, r in rels:
+        if len(l) <= 1 and len(r) <= 1 and l != r:
+            i, *j = sorted(l | r)
+            stated.append(("cycle", i, j[0] - i) if j else ("nil", i))
+    fits = [q for q in stated if 1 <= _structure_size(q) <= cap]
+    return min(fits, key=_structure_size, default=None)
+
+
 def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     """The quotient of the one-variable polynomials by the relations,
     if it has at most cap elements.
 
-    Three stages: an exact test for the fatal 0 = 1 collapse, a
-    bounded rewrite search for an implied power rule, and an exact
-    congruence closure inside the power-rule algebra. The first and
-    third stages are exact; only the middle one can give up. Then a
-    model, the closure of the relations inside a small power algebra
-    with more than cap classes, proves the quotient too large
-    (TooLarge with stage 'model'); without one the answer is TooLarge
-    with stage 'search' rather than a guess. TooLarge with stage
-    'closure' or 'model' is a proof.
+    Three stages: an exact test for the fatal 0 = 1 collapse, a power
+    rule a^t = 0 or a^(i+p) = a^i of size at most cap that holds in the
+    quotient, and an exact congruence closure inside that power rule's
+    algebra. The rule is read off a relation that states it; only when
+    none does, a bounded rewrite search looks for an implied one, and
+    only that search can give up. Closing in any power algebra whose
+    rule holds in the quotient gives the same classes and names. When
+    the search gives up, a model, the closure of the relations inside
+    a small power algebra with more than cap classes, proves the
+    quotient too large (TooLarge with stage 'model'); without one the
+    answer is TooLarge with stage 'search' rather than a guess.
+    TooLarge with stage 'closure' or 'model' is a proof.
     """
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
     rels = [(_poly_exps(l), _poly_exps(r)) for l, r in p.relations]
     _check_not_collapsing(rels)
-    ps = _saturate_power_rule(rels, cap)
+    ps = _stated_power_rule(rels, cap) or _saturate_power_rule(rels, cap)
     if ps is None:
         _refute_by_model(rels, cap)
         raise TooLarge(
@@ -371,12 +386,6 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
             "does not prove the quotient infinite or larger than the cap",
             stage="search",
         )
-    return _close_exact(p, rels, ps, cap)
-
-
-def _close_exact(p, rels, ps, cap):
-    """close_presentation once the relations are known to imply the
-    power rule ps."""
     shift = _shift_table(ps)
     classes = _close_in_power_algebra(ps, shift, rels)
     if len(classes) > cap:
@@ -446,18 +455,13 @@ def _refute_by_model(rels, cap):
             )
 
 
-def _decide_trial(trial, ps, cap):
-    """close_presentation(trial, cap) for a shrink trial of a placement
-    with power structure ps of size at most cap: exact and without a
-    rewrite search when the trial still holds the power rule of ps, or
-    when a model proves its quotient too large."""
-    p = Presentation(tuple(trial))
-    rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
-    if _structure_relation(ps) in trial:
-        _check_not_collapsing(rels)
-        return _close_exact(p, rels, ps, cap)
-    _refute_by_model(rels, cap)
-    return close_presentation(p, cap)
+def _trial_size(trial, ps, cap):
+    """The size of the quotient by a shrink trial of a placement with
+    power structure ps, or TooLarge or CollapsesZeroOne. A trial that
+    lost the power rule of ps is first tried against the models."""
+    if _structure_relation(ps) not in trial:
+        _refute_by_model([(_poly_exps(l), _poly_exps(r)) for l, r in trial], cap)
+    return close_presentation(Presentation(tuple(trial)), cap).algebra.size
 
 
 # ---------------------------------------------------------------------------
@@ -602,19 +606,19 @@ def _derive_presentation(L, le, ps, g, result):
 
     Complete before shrinking: the power rule pins the exponent
     arithmetic, cover relations pin the order on powers, and antichain
-    join relations pin every remaining sum. Shrinking only drops a
-    relation when re-closing what is left still gives the same marked
-    algebra, so the output stays correct by construction.
+    join relations pin every remaining sum. Shrinking drops a relation
+    when the quotient by what is left has as many elements as the class.
+    That is exact: every relation of the complete list holds in the
+    class and a generates it, so the class is a quotient of the trial's
+    quotient, and two finite algebras of equal size joined by a
+    surjection are isomorphic. The final list is re-closed and checked
+    against the class.
 
-    Each trial list is decided in one of three ways, the first two
-    exact and without a rewrite search:
-    - it still holds the power rule of ps: its quotient is its closure
-      inside the power algebra of ps;
-    - it does not, but its closure inside the power algebra of some
-      ps' with cap < 2^m' and m' <= cap has more than cap classes: that
-      closure is a model proving the quotient too large, so the trial
-      is skipped;
-    - otherwise close_presentation decides it, search included.
+    A trial that still holds the power rule of ps is closed inside its
+    power algebra with no rewrite search. One that lost it is skipped
+    when its closure inside the power algebra of some ps' with
+    cap < 2^m' and m' <= cap has more than cap classes, a model proving
+    the quotient too large; otherwise close_presentation decides it.
     """
     m = len(g)
     exp_le = [[le[g[j]][g[k]] for k in range(m)] for j in range(m)]
@@ -657,15 +661,10 @@ def _derive_presentation(L, le, ps, g, result):
                 break
             trial = kept[:idx] + kept[idx + 1 :]
             try:
-                closed = _decide_trial(trial, ps, cap)
+                size = _trial_size(trial, ps, cap)
             except (TooLarge, CollapsesZeroOne):
                 continue
-            if closed.algebra.size == result.algebra.size and marked_isomorphic(
-                closed.algebra,
-                closed.generator,
-                result.algebra,
-                result.generator,
-            ):
+            if size == result.algebra.size:
                 kept = trial
                 changed = True
     final = Presentation(tuple(kept))

@@ -18,7 +18,7 @@ from .algebra import algebra_morphism, algebra_morphisms, validate_algebra
 # canonical_tables is bound here too: perfbench/check_bench.py checks
 # that the tracer wraps its alias in this module
 from .canonical import canonical_classes, canonical_tables, table_maps  # noqa: F401
-from .core_lattice import _check_map, _commutative_monoid
+from .core_lattice import _check_map, _commutative_monoid, _set_name
 from .errors import (
     NoUnit,
     NotAGroup,
@@ -141,8 +141,8 @@ def all_monoids(n, limit=MONOID_ENUM_LIMIT):
                 bc = mul[b][c]
                 if ab is None or bc is None:
                     continue
-                left = None if mul[ab][c] is None else mul[ab][c]
-                right = None if mul[a][bc] is None else mul[a][bc]
+                left = mul[ab][c]
+                right = mul[a][bc]
                 if left is not None and right is not None and left != right:
                     return True
         return False
@@ -188,9 +188,9 @@ def is_group(a):
     return len(units(a)) == a.size
 
 
-def submonoid(a, elements):
-    """The induced monoid on a closed subset containing the unit."""
-    elements = tuple(sorted(set(elements)))
+def _check_submonoid(a, elements):
+    """NotSubmonoid unless the sorted elements contain the unit and are
+    closed under the product; the witness is the first pair outside."""
     inside = set(elements)
     if a.unit not in inside:
         raise NotSubmonoid("the unit is missing")
@@ -200,6 +200,12 @@ def submonoid(a, elements):
                 raise NotSubmonoid(
                     f"{a.names[x]}*{a.names[y]} falls outside", witness=(x, y)
                 )
+
+
+def submonoid(a, elements):
+    """The induced monoid on a closed subset containing the unit."""
+    elements = tuple(sorted(set(elements)))
+    _check_submonoid(a, elements)
     pos = {x: i for i, x in enumerate(elements)}
     mul = tuple(
         tuple(pos[a.mul[x][y]] for y in elements) for x in elements
@@ -223,14 +229,7 @@ def submonoids(a):
 def is_integral_over(a, b):
     """Does every element have a positive power inside b?"""
     inside = set(b)
-    if a.unit not in inside:
-        raise NotSubmonoid("the unit is missing")
-    for x in inside:
-        for y in inside:
-            if a.mul[x][y] not in inside:
-                raise NotSubmonoid(
-                    f"{a.names[x]}*{a.names[y]} falls outside", witness=(x, y)
-                )
+    _check_submonoid(a, sorted(inside))
     for x in range(a.size):
         p = x
         seen = set()
@@ -250,12 +249,6 @@ def _subset_order(a):
     ubit = 1 << a.unit
     order = [0, ubit] + [m for m in range(1 << a.size) if m not in (0, ubit)]
     return order, {m: i for i, m in enumerate(order)}
-
-
-def _subset_name(a, mask):
-    if mask == 0:
-        return "{}"
-    return "{" + ",".join(a.names[x] for x in range(a.size) if mask >> x & 1) + "}"
 
 
 def powerset_algebra(a, limit=FUNCTOR_LIMIT):
@@ -278,7 +271,7 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
                         acc |= pbit[x][y]
         return acc
 
-    names = tuple(_subset_name(a, m) for m in order)
+    names = tuple(_set_name(a.names, m) for m in order)
     sum_t = tuple(
         tuple(index[order[i] | order[j]] for j in range(size))
         for i in range(size)

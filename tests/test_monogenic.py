@@ -6,13 +6,13 @@ powerset of the generator's powers are exactly intersection-closed
 families containing the full set (classes are keyed by their closure),
 and product compatibility reduces to the single monomial shift.
 """
+import hashlib
 from itertools import combinations
 
 import pytest
 
 from b1algebra import (
     brute_force_count,
-    canonical_key,
     close_presentation,
     enumerate_monogenic,
     marked_isomorphic,
@@ -25,13 +25,14 @@ from b1algebra import monogenic
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
     Presentation,
-    _decide_trial,
+    _derive_presentation,
     _exp_poly,
     _poly_exps,
     _power_structures,
     _refute_by_model,
     _structure_relation,
     _structure_size,
+    _trial_size,
     power_reduction_algebra,
 )
 
@@ -266,6 +267,23 @@ def test_listing_is_stable(n):
     assert rendered == LISTINGS[n]
 
 
+def test_census_output_is_pinned_through_seven():
+    # names, tables, generators and presentations of every class
+    census = [
+        (
+            r.algebra.names,
+            r.algebra.sum,
+            r.algebra.mul,
+            r.generator,
+            render_presentation(r.presentation),
+        )
+        for n in range(2, 8)
+        for r in enumerate_monogenic(n)
+    ]
+    digest = hashlib.sha1(repr(census).encode()).hexdigest()
+    assert digest == "877ed5ba6560c2b69f81d2ccfb458f831b60de98"
+
+
 def test_every_presentation_closes_back_to_its_class():
     for n in (2, 3, 4, 5):
         for r in enumerate_monogenic(n):
@@ -354,16 +372,28 @@ def test_six_element_witness_class_beyond_the_formula():
 
 @pytest.fixture(scope="module")
 def shrink_trials():
-    """Every (trial, ps, cap) the presentation shrink loop decides for
-    sizes 2..5, recorded from an uncached enumeration."""
+    """Every shrink trial of sizes 2..5 as (trial, ps, cap, size, cls):
+    the quotient size the shrink loop saw (None when it raised) and the
+    marked class being presented, recorded from an uncached
+    enumeration."""
     calls = []
+    current = []
+
+    def derive(L, le, ps, g, result):
+        current[:] = [result]
+        return _derive_presentation(L, le, ps, g, result)
 
     def record(trial, ps, cap):
-        calls.append((tuple(trial), ps, cap))
-        return _decide_trial(trial, ps, cap)
+        size = None
+        try:
+            size = _trial_size(trial, ps, cap)
+            return size
+        finally:
+            calls.append((tuple(trial), ps, cap, size, current[0]))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monogenic, "_decide_trial", record)
+        mp.setattr(monogenic, "_derive_presentation", derive)
+        mp.setattr(monogenic, "_trial_size", record)
         for n in (2, 3, 4, 5):
             enumerate_monogenic.__wrapped__(n)
     return calls
@@ -397,12 +427,22 @@ def test_model_proofs_hold_on_small_relation_lists():
 
 def test_model_proofs_hold_on_every_shrink_trial(shrink_trials):
     proved = 0
-    for trial, ps, cap in shrink_trials:
+    for trial, ps, cap, _, _ in shrink_trials:
         if _structure_relation(ps) in trial:
             continue
         rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
         proved += assert_model_proof_is_sound(rels, cap)
     assert proved > 0
+
+
+def test_every_trial_kept_on_size_closes_to_its_class(shrink_trials):
+    kept = [t for t in shrink_trials if t[3] == t[4].algebra.size]
+    assert kept
+    for trial, _, cap, _, cls in kept:
+        closed = close_presentation(Presentation(trial), cap)
+        assert marked_isomorphic(
+            closed.algebra, closed.generator, cls.algebra, cls.generator
+        )
 
 
 def outcome(close):
@@ -412,23 +452,37 @@ def outcome(close):
         return ("TooLarge", err.stage, err.size)
     except CollapsesZeroOne:
         return "CollapsesZeroOne"
-    return canonical_key(r.algebra, r.generator)
+    return (r.algebra.names, r.algebra.sum, r.algebra.mul, r.generator)
 
 
-def assert_shortcut_agrees(trial, ps, cap):
-    assert outcome(lambda: _decide_trial(trial, ps, cap)) == outcome(
-        lambda: close_presentation(Presentation(tuple(trial)), cap)
-    )
+def assert_stated_rule_agrees_with_search(rels, cap):
+    """close_presentation reads a stated power rule off the relations
+    without a search; the other arm closes in the power algebra of the
+    rule that the rewrite search finds for the same relations."""
+    p = Presentation(tuple(rels))
+
+    def no_search(rels, cap):
+        pytest.fail("a relation list stating its power rule reached the search")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_saturate_power_rule", no_search)
+        stated = outcome(lambda: close_presentation(p, cap))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_stated_power_rule", lambda rels, cap: None)
+        searched = outcome(lambda: close_presentation(p, cap))
+    assert stated == searched
 
 
 def test_power_rule_shortcut_agrees_with_close(shrink_trials):
     with_rule = [t for t in shrink_trials if _structure_relation(t[1]) in t[0]]
     assert with_rule
-    for trial, ps, cap in with_rule:
-        assert_shortcut_agrees(trial, ps, cap)
+    for trial, ps, cap, _, _ in with_rule:
+        assert_stated_rule_agrees_with_search(trial, cap)
     powers = [_exp_poly(())] + [_exp_poly((e,)) for e in range(5)]
-    for ps in _power_structures(5):
+    for ps in _power_structures(6):
         # as in the shrink loop, the power rule is within the cap
         for cap in range(_structure_size(ps), 7):
             for rel in combinations(powers, 2):
-                assert_shortcut_agrees([_structure_relation(ps), rel], ps, cap)
+                assert_stated_rule_agrees_with_search(
+                    [_structure_relation(ps), rel], cap
+                )
