@@ -18,15 +18,16 @@ distinguishable elements. The minimum is built row by row: a
 relabeling is dropped at its first row greater than the best one's,
 and its remaining rows are built only after a smaller row.
 
-canonical_classes deduplicates isomorphism classes by a cheaper key:
-the canonical form of the tables together with the 0/1 table
-R[x][y] = (t[x][y] == y) of each relabeled table t (the order of a
-join table; "x fixes y" for a monoid). The coloring cannot tell the
-non-bottom elements of a lattice apart from its join table alone, but
-it splits them on R, so the key tries few bijections. The key is a
-canonical form of a family derived invariantly from the tables, so it
-separates exactly the isomorphism classes; the exact form is computed
-once, for the first candidate of each class.
+canonical_classes deduplicates isomorphism classes. For relabeled
+tables, which only monoids pass, it uses a cheaper key: the canonical
+form of the tables together with the 0/1 table R[x][y] = (t[x][y] == y)
+of each table t ("x fixes y"), on which the coloring splits elements
+that the product table alone does not, so the key tries few
+bijections. The key is a canonical form of a family derived
+invariantly from the tables, so it separates exactly the isomorphism
+classes; the exact form is computed once, for the first candidate of
+each class. Posets pass only 0/1 tables, and their key is the exact
+form. Lattices are generated one per class and need no deduplication.
 
 Hom sets (module, algebra and monoid morphisms, automorphisms) all
 come from one backtracking search, table_maps.
@@ -160,8 +161,10 @@ def canonical_classes(families, n, pinned=0, relabel=None):
 
     A candidate's key is the canonical form of its tables plus the 0/1
     table t[x][y] == y of each relabeled table t; the exact form is
-    computed only for the first candidate with a new key. When no table
-    is relabeled the key already is the exact form.
+    computed only for the first candidate with a new key. This
+    order-refined key serves the monoids of all_monoids. When no table
+    is relabeled, as for the 0/1 order tables of enumerate_posets, the
+    key already is the exact form.
     """
     forms = {}
     for tables in families:

@@ -377,6 +377,14 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
     rels = [(_poly_exps(l), _poly_exps(r)) for l, r in p.relations]
+    ps, shift, classes = _close(rels, cap)
+    return _algebra_from_classes(shift, classes, ps, p)
+
+
+def _close(rels, cap):
+    """The stages of close_presentation on relations given as exponent
+    sets: returns the power rule, its shift table and the classes of
+    the quotient, or raises CollapsesZeroOne or TooLarge."""
     _check_not_collapsing(rels)
     ps = _stated_power_rule(rels, cap) or _saturate_power_rule(rels, cap)
     if ps is None:
@@ -395,7 +403,7 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
             size=len(classes),
             bound=cap,
         )
-    return _algebra_from_classes(shift, classes, ps, p)
+    return ps, shift, classes
 
 
 def _algebra_from_classes(shift, classes, ps, presentation):
@@ -459,9 +467,10 @@ def _trial_size(trial, ps, cap):
     """The size of the quotient by a shrink trial of a placement with
     power structure ps, or TooLarge or CollapsesZeroOne. A trial that
     lost the power rule of ps is first tried against the models."""
+    rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
     if _structure_relation(ps) not in trial:
-        _refute_by_model([(_poly_exps(l), _poly_exps(r)) for l, r in trial], cap)
-    return close_presentation(Presentation(tuple(trial)), cap).algebra.size
+        _refute_by_model(rels, cap)
+    return len(_close(rels, cap)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +620,12 @@ def _derive_presentation(L, le, ps, g, result):
     That is exact: every relation of the complete list holds in the
     class and a generates it, so the class is a quotient of the trial's
     quotient, and two finite algebras of equal size joined by a
-    surjection are isomorphic. The final list is re-closed and checked
-    against the class.
+    surjection are isomorphic. The trials are closed with cap = n, the
+    class's size, whenever 2 <= n <= CLOSE_CAP_LIMIT: a larger quotient
+    raises TooLarge, and one that maps onto the class has at least n
+    elements, so every size that comes back is n and the comparison
+    holds; it stays as the check of that argument. The final list is
+    re-closed and checked against the class.
 
     A trial that still holds the power rule of ps is closed inside its
     power algebra with no rewrite search. One that lost it is skipped

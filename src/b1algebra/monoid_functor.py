@@ -19,6 +19,7 @@ from .algebra import algebra_morphism, algebra_morphisms, validate_algebra
 # that the tracer wraps its alias in this module
 from .canonical import canonical_classes, canonical_tables, table_maps  # noqa: F401
 from .core_lattice import _check_map, _commutative_monoid, _set_name
+from .monogenic import _mask_mul
 from .errors import (
     NoUnit,
     NotAGroup,
@@ -260,16 +261,11 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
         raise SizeTooLarge(f"2^{a.size} subsets; the functor caps at {limit}")
     order, index = _subset_order(a)
     size = len(order)
-    pbit = [[1 << a.mul[x][y] for y in range(a.size)] for x in range(a.size)]
-
-    def prod(xm, ym):
-        acc = 0
-        for x in range(a.size):
-            if xm >> x & 1:
-                for y in range(a.size):
-                    if ym >> y & 1:
-                        acc |= pbit[x][y]
-        return acc
+    # image[x][m]: the set product {x} * m, one bit added per step
+    image = [[0] * size for _ in range(a.size)]
+    for row, mul_x in zip(image, a.mul):
+        for m in range(1, size):
+            row[m] = row[m & (m - 1)] | 1 << mul_x[(m & -m).bit_length() - 1]
 
     names = tuple(_set_name(a.names, m) for m in order)
     sum_t = tuple(
@@ -277,7 +273,7 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
         for i in range(size)
     )
     mul_t = tuple(
-        tuple(index[prod(order[i], order[j])] for j in range(size))
+        tuple(index[_mask_mul(image, order[i], order[j])] for j in range(size))
         for i in range(size)
     )
     alg = validate_algebra(names, sum_t, mul_t)

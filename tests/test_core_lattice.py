@@ -1,4 +1,5 @@
 """Lattice core: validation, order round trips, Birkhoff machinery."""
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -25,12 +26,14 @@ from b1algebra import (
     enumerate_posets,
     powerset_module,
 )
+from b1algebra.canonical import canonical_tables
 from b1algebra.errors import (
     LawViolation,
     NotIdempotent,
     NotCommutative,
     NotAssociative,
     NoBottom,
+    NotDecent,
 )
 
 
@@ -134,8 +137,6 @@ def test_order_sum_round_trip_on_m():
 
 
 def test_module_of_order_rejects_joinless_poset():
-    from b1algebra.errors import NotDecent
-
     # two maximal elements, no common upper bound
     leq = ((1, 1, 1), (0, 1, 0), (0, 0, 1))
     with pytest.raises(NotDecent):
@@ -291,7 +292,90 @@ def test_lattice_counts_small():
 
 
 def test_poset_counts_small():
-    assert [len(enumerate_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+    assert [len(enumerate_posets(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+
+
+def natural_orders(n, force_bottom):
+    """Strict-below masks down[k] of every naturally labelled poset on
+    0..n-1 (j < k whenever j is below k): each new element goes above a
+    down-closed set of the elements before it, with 0 below every other
+    element when force_bottom is set."""
+
+    def rec(down):
+        k = len(down)
+        if k == n:
+            yield down
+            return
+        for s in range(1 << k):
+            if force_bottom and k and not s & 1:
+                continue
+            if all(down[j] & ~s == 0 for j in range(k) if s >> j & 1):
+                yield from rec(down + [s])
+
+    yield from rec([])
+
+
+def leq_of(down):
+    n = len(down)
+    return tuple(
+        tuple(int(a == b or bool(down[b] >> a & 1)) for b in range(n))
+        for a in range(n)
+    )
+
+
+def test_posets_agree_with_every_natural_labelling():
+    # the enumeration builds each class from the classes one size down;
+    # the oracle labels every poset naturally and keeps the exact forms
+    for n in range(7):
+        forms = {
+            canonical_tables((leq_of(d),), n, relabel=(False,))
+            for d in natural_orders(n, force_bottom=False)
+        }
+        names = tuple(f"e{i}" for i in range(n))
+        want = [(names, t) for (t,) in sorted(forms)]
+        assert [(p.names, p.leq) for p in enumerate_posets(n)] == want
+
+
+def test_lattices_agree_with_every_natural_labelling():
+    # a lattice is determined by its order: deduplicate the naturally
+    # labelled orders with a bottom, then take one exact form per class
+    for n in range(1, 8):
+        orders = {}
+        for d in natural_orders(n, force_bottom=True):
+            leq = leq_of(d)
+            key = canonical_tables((leq,), n, 1, relabel=(False,))
+            orders.setdefault(key, leq)
+        forms = []
+        for leq in orders.values():
+            try:
+                mod = module_of_order(validate_poset(range(n), leq))
+            except NotDecent:
+                continue
+            forms.append(canonical_tables((mod.sum,), n, 1))
+        names = tuple(f"e{i}" for i in range(n))
+        want = [(names, t, 0) for (t,) in sorted(forms)]
+        got = [(m.names, m.sum, m.bottom) for m in enumerate_lattices(n)]
+        assert got == want
+
+
+def test_small_enumerations_are_pinned():
+    # names, tables and order of lattices 1..7 and posets 0..6
+    out = [
+        ("L", k, [(m.names, m.sum, m.bottom) for m in enumerate_lattices(k)])
+        for k in range(1, 8)
+    ] + [
+        ("P", k, [(p.names, p.leq) for p in enumerate_posets(k)])
+        for k in range(0, 7)
+    ]
+    digest = hashlib.sha1(repr(out).encode()).hexdigest()
+    assert digest == "0da72c8a995aee400722dd0b6626602dad0cd88b"
+
+
+def test_lattices_of_eight_are_pinned():
+    sums = [m.sum for m in enumerate_lattices(8)]
+    assert len(sums) == 222
+    digest = hashlib.sha1(repr(sums).encode()).hexdigest()
+    assert digest == "063514cd7b5f1d548649b41a05e8bcefe41ba15f"
 
 
 def test_enumerated_lattices_are_pairwise_distinct():

@@ -1,4 +1,6 @@
 """Commutative monoids, the subsets functor, and its adjunction."""
+from itertools import permutations
+
 import pytest
 
 from b1algebra import (
@@ -121,6 +123,35 @@ def test_subsets_algebra_of_mu2():
     assert f2.mul[i("{g}")][i("{g}")] == i("{1}")
     assert f2.mul[i("{1,g}")][i("{g}")] == i("{1,g}")
     assert f2.sum[i("{1}")][i("{g}")] == i("{1,g}")
+
+
+def relabel(a, perm):
+    """The monoid a with element x renamed to perm[x]."""
+    inv = [0] * a.size
+    for x, p in enumerate(perm):
+        inv[p] = x
+    return validate_monoid(
+        [a.names[x] for x in inv],
+        [[perm[a.mul[x][y]] for y in inv] for x in inv],
+    )
+
+
+def test_subsets_algebra_products_are_set_products():
+    # every relabelling, so the unit and the products sit anywhere
+    for n in (1, 2, 3, 4):
+        for a in all_monoids(n):
+            for perm in permutations(range(n)):
+                b = relabel(a, perm)
+                f = powerset_algebra(b)
+                sets = [
+                    {b.names.index(x) for x in name[1:-1].split(",") if x}
+                    for name in f.names
+                ]
+                for i, s in enumerate(sets):
+                    for j, t in enumerate(sets):
+                        want = {b.mul[x][y] for x in s for y in t}
+                        assert sets[f.mul[i][j]] == want
+                        assert sets[f.sum[i][j]] == s | t
 
 
 def test_subsets_algebra_sizes_are_powers_of_two():
