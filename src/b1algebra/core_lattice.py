@@ -252,25 +252,15 @@ def module_of_order(poset):
             break
     if bottom is None:
         raise NotDecent("no least element")
-    # up[a] as a bitmask; a pair has a join iff the intersection of
-    # their upper sets is itself some element's upper set
-    up = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                up[a] |= 1 << b
-    by_up = {u: a for a, u in enumerate(up)}
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            common = up[a] & up[b]
-            j = by_up.get(common)
-            if j is None:
-                raise NotDecent(
-                    f"{poset.names[a]} and {poset.names[b]} have no join"
-                )
-            table[a][b] = j
-    return FinModule(poset.names, tuple(map(tuple, table)), bottom)
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    table = _lattice_table(up)
+    if table is None:
+        ups = set(up)
+        a, b = next(
+            (a, b) for a in range(n) for b in range(n) if up[a] & up[b] not in ups
+        )
+        raise NotDecent(f"{poset.names[a]} and {poset.names[b]} have no join")
+    return FinModule(poset.names, table, bottom)
 
 
 def meet(mod, a, b):

@@ -494,39 +494,17 @@ def _mask_joins(L, g):
     return out
 
 
-def _full_multiplicative_check(L, le, ps, g):
-    """The complete compatibility law: whenever a power sits under a
-    join of powers, multiplying every exponent by a^t preserves that.
-    Necessary for any product, and sufficient for the join data to
-    carry one."""
-    m = len(g)
-    red = _reduction(ps, 2 * m)
-    size = 1 << m
-    join_of = _mask_joins(L, g)
-    shifted = _shift_table(ps)
-    for s_mask in range(size):
-        js = join_of[s_mask]
-        for k in range(m):
-            if not le[g[k]][js]:
-                continue
-            for t in range(m):
-                kt = red[k + t]
-                left = L.bottom if kt is None else g[kt]
-                if not le[left][join_of[shifted[t][s_mask]]]:
-                    return False
-    return True
-
-
-def _search_lattice(L, seen, rejected, out):
-    """All valid power placements into one lattice."""
+def _search_lattice(L, tables, seen, rejected, out):
+    """All valid power placements into one lattice, for each power
+    structure in tables, which pairs it with its shift table."""
     n = L.size
     le = [[L.sum[a][b] == b for b in range(n)] for a in range(n)]
     ji = _irreducible_indices(L)
     auts = table_automorphisms((L.sum,), n, pinned=1)
     orbit_min = {e for e in range(1, n) if e == min(p[e] for p in auts)}
 
-    for ps in _power_structures(n):
-        m = _structure_size(ps)
+    for ps, shift in tables:
+        m = len(shift)
         if m < len(ji):
             continue
         red = _reduction(ps, 2 * m)
@@ -536,26 +514,25 @@ def _search_lattice(L, seen, rejected, out):
 
         def compatible(k):
             # one-sided power law on pairs involving the new exponent
-            for u in range(k + 1):
-                for v in (k,):
-                    for a, b in ((u, v), (v, u)):
-                        if a == b or not le[g[a]][g[b]]:
+            for u in range(k):
+                for a, b in ((u, k), (k, u)):
+                    if not le[g[a]][g[b]]:
+                        continue
+                    for t in range(1, m):
+                        at, bt = red[a + t], red[b + t]
+                        if at is not None and at > k:
                             continue
-                        for t in range(1, m):
-                            at, bt = red[a + t], red[b + t]
-                            if at is not None and at > k:
-                                continue
-                            if bt is not None and bt > k:
-                                continue
-                            left = L.bottom if at is None else g[at]
-                            right = L.bottom if bt is None else g[bt]
-                            if not le[left][right]:
-                                return False
+                        if bt is not None and bt > k:
+                            continue
+                        left = L.bottom if at is None else g[at]
+                        right = L.bottom if bt is None else g[bt]
+                        if not le[left][right]:
+                            return False
             return True
 
         def rec(k):
             if k == m:
-                _record(L, le, ps, tuple(g), seen, rejected, out)
+                _record(L, le, ps, shift, tuple(g), seen, rejected, out)
                 return
             missing = sum(1 for e in ji if not used[e])
             if missing > m - k:
@@ -582,35 +559,47 @@ def _search_lattice(L, seen, rejected, out):
         rec(0)
 
 
-def _record(L, le, ps, g, seen, rejected, out):
+def _record(L, le, ps, shift, g, seen, rejected, out):
+    """Keep a placement whose powers join to every nonbottom element
+    and which satisfies the product law, keyed on its masks below[e],
+    the powers placed under each element e.
+
+    The law: whenever a power sits under a join of powers, multiplying
+    every exponent by a^t preserves that. Necessary for any product,
+    and sufficient for the join data to carry one. shift[t][1 << k] is
+    the bit of a^(k+t) reduced, so the law for the powers S and one t
+    is a single mask test.
+    """
     n = L.size
     m = len(g)
-    jsets = []
-    for e in range(n):
-        jsets.append(frozenset(k for k in range(m) if le[g[k]][e]))
-    if any(not js for js in jsets[1:]) or len(set(jsets)) != n:
+    below = [sum(1 << k for k in range(m) if le[g[k]][e]) for e in range(n)]
+    if not all(below[1:]) or len(set(below)) != n:
         # every nonbottom element must be a join of powers
         return
-    key = (ps, frozenset(jsets))
+    key = (ps, frozenset(below))
     if key in seen or key in rejected:
         return
-    if _full_multiplicative_check(L, le, ps, g):
+    join_of = _mask_joins(L, g)
+    if all(
+        shift[t][below[join_of[s]]] & ~below[join_of[shift[t][s]]] == 0
+        for s in range(1 << m)
+        for t in range(1, m)
+    ):
         seen.add(key)
-        out.append((L, ps, g))
+        out.append((L, ps, shift, g, below))
     else:
         rejected.add(key)
 
 
-def _nf(exps, exp_le):
-    """Maximal exponents: drop anything below another member."""
-    return frozenset(
-        k
-        for k in exps
-        if not any(j != k and exp_le[k][j] for j in exps)
-    )
+def _maximal(below, g, mask):
+    """The powers in mask that lie under no other power in mask."""
+    covered = 0
+    for k in _bits(mask):
+        covered |= below[g[k]] & ~(1 << k)
+    return mask & ~covered
 
 
-def _derive_presentation(L, le, ps, g, result):
+def _derive_presentation(L, below, ps, g, result):
     """A generating relation list, then greedily shrunk.
 
     Complete before shrinking: the power rule pins the exponent
@@ -634,35 +623,23 @@ def _derive_presentation(L, le, ps, g, result):
     the quotient too large; otherwise close_presentation decides it.
     """
     m = len(g)
-    exp_le = [[le[g[j]][g[k]] for k in range(m)] for j in range(m)]
     join_of = _mask_joins(L, g)
-    jset = {
-        e: frozenset(k for k in range(m) if le[g[k]][e]) for e in range(L.size)
-    }
     rels = [_structure_relation(ps)]
     # covers within the exponent order
+    lower_covers = [
+        _maximal(below, g, below[e] & ~(1 << k)) for k, e in enumerate(g)
+    ]
     for j in range(m):
         for k in range(m):
-            if j == k or not exp_le[j][k]:
-                continue
-            between = any(
-                l not in (j, k) and exp_le[j][l] and exp_le[l][k]
-                for l in range(m)
-            )
-            if not between:
+            if lower_covers[k] >> j & 1:
                 rels.append((_exp_poly((j, k)), _exp_poly((k,))))
     # joins of antichains
     for mask in range(1, 1 << m):
-        s = _bits(mask)
-        if len(s) < 2:
+        if mask & (mask - 1) == 0 or _maximal(below, g, mask) != mask:
             continue
-        if any(
-            a != b and exp_le[a][b] for a in s for b in s
-        ):
-            continue
-        target = _nf(jset[join_of[mask]], exp_le)
-        if target != frozenset(s):
-            rels.append((_exp_poly(s), _exp_poly(sorted(target))))
+        target = _maximal(below, g, below[join_of[mask]])
+        if target != mask:
+            rels.append((_exp_poly(_bits(mask)), _exp_poly(_bits(target))))
 
     cap = min(CLOSE_CAP_LIMIT, max(2, L.size))
     kept = list(rels)
@@ -689,26 +666,15 @@ def _derive_presentation(L, le, ps, g, result):
     return final
 
 
-def _assemble(L, ps, g):
+def _assemble(L, ps, shift, g, below):
     """Build the canonical marked algebra for one placement."""
     n = L.size
-    m = len(g)
-    red = _reduction(ps, 2 * m)
-    le = [[L.sum[a][b] == b for b in range(n)] for a in range(n)]
-    exp_le = [[le[g[j]][g[k]] for k in range(m)] for j in range(m)]
-    jset = {
-        e: frozenset(k for k in range(m) if le[g[k]][e]) for e in range(n)
-    }
-    mul = [[0] * n for _ in range(n)]
-    for e in range(n):
-        for f in range(n):
-            acc = L.bottom
-            for j in jset[e]:
-                for k in jset[f]:
-                    r = red[j + k]
-                    if r is not None:
-                        acc = L.sum[acc][g[r]]
-            mul[e][f] = acc
+    join_of = _mask_joins(L, g)
+    mul = [
+        [join_of[_mask_mul(shift, below[e], below[f])] for f in range(n)]
+        for e in range(n)
+    ]
+    red = _reduction(ps, 1)
     gen = L.bottom if red[1] is None else g[red[1]]
     unit = g[0]
     pinned = [L.bottom, unit]
@@ -716,7 +682,7 @@ def _assemble(L, ps, g):
         pinned.append(gen)
     rest = sorted(
         (e for e in range(n) if e not in pinned),
-        key=lambda e: (len(jset[e]), sorted(jset[e])),
+        key=lambda e: (below[e].bit_count(), _bits(below[e])),
     )
 
     def relabelings():
@@ -730,12 +696,13 @@ def _assemble(L, ps, g):
     best, perm = least_relabeling((L.sum, mul), relabelings())
     best_order = sorted(range(n), key=perm.__getitem__)
     names = tuple(
-        _compact(_exp_poly(_nf(jset[e], exp_le))) for e in best_order
+        _compact(_exp_poly(_bits(_maximal(below, g, below[e]))))
+        for e in best_order
     )
     alg = validate_algebra(names, best[0], best[1])
     assert alg.bottom == 0 and alg.unit == 1
     result = MonogenicAlgebra(alg, perm[gen], Presentation(()))
-    pres = _derive_presentation(L, le, ps, g, result)
+    pres = _derive_presentation(L, below, ps, g, result)
     return MonogenicAlgebra(alg, result.generator, pres)
 
 
@@ -750,9 +717,10 @@ def enumerate_monogenic(n, limit=ENUM_LIMIT):
     seen = set()
     rejected = set()
     raw = []
+    tables = [(ps, _shift_table(ps)) for ps in _power_structures(n)]
     for L in enumerate_lattices(n):
-        _search_lattice(L, seen, rejected, raw)
-    results = [_assemble(L, ps, g) for L, ps, g in raw]
+        _search_lattice(L, tables, seen, rejected, raw)
+    results = [_assemble(*placement) for placement in raw]
     keys = [canonical_key(r.algebra, r.generator) for r in results]
     assert len(set(keys)) == len(keys)
     return tuple(r for _, r in sorted(zip(keys, results), key=lambda t: t[0]))

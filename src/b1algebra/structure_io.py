@@ -17,6 +17,7 @@ skipped. Example:
     0 1 a
     0 a a
 
+Poset tables must be reflexive, antisymmetric and transitive.
 Modules and algebras must list the bottom at index 0; algebras must
 list the unit at index 1; monoids name their unit in a `one` line.
 A size above MAX_SIZE is refused before anything is allocated.
@@ -25,7 +26,7 @@ A size above MAX_SIZE is refused before anything is allocated.
 from __future__ import annotations
 
 from .algebra import FinAlgebra, validate_algebra
-from .core_lattice import FinModule, FinPoset, validate_module
+from .core_lattice import FinModule, FinPoset, validate_module, validate_poset
 from .errors import NoBottom, NoUnit, StructureParseError
 from .monoid_functor import FinMonoid, validate_monoid
 
@@ -119,7 +120,7 @@ def parse_structure(text):
             "leq entries are 0 or 1, got `{}`",
         )
         _expect_end(lines, at)
-        return FinPoset(names, leq)
+        return validate_poset(names, leq)
 
     if kind == "module":
         num, parts = _take_keyword(lines, at, "sum")

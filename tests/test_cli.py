@@ -50,6 +50,14 @@ def test_check_reports_law_violations(capsys, tmp_path):
     assert out.startswith("valid: false\nerror: NotIdempotent")
 
 
+def test_check_reports_poset_law_violations(capsys, tmp_path):
+    p = tmp_path / "bad.pos"
+    p.write_text("kind poset\nsize 2\nleq\n1 1\n1 1\n")
+    code, out = invoke(capsys, "check", str(p))
+    assert code == 1
+    assert out == "valid: false\nerror: LawViolation: leq is not antisymmetric\n"
+
+
 def test_check_reports_parse_errors_with_location(capsys, tmp_path):
     p = tmp_path / "bad.mod"
     p.write_text("kind module\nsize 2\nnames 0 t\nsum\n0 t\nt q\n")

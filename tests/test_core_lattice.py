@@ -139,7 +139,7 @@ def test_order_sum_round_trip_on_m():
 def test_module_of_order_rejects_joinless_poset():
     # two maximal elements, no common upper bound
     leq = ((1, 1, 1), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(NotDecent):
+    with pytest.raises(NotDecent, match="^x and y have no join$"):
         module_of_order(validate_poset(("0", "x", "y"), leq))
 
 

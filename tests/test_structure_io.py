@@ -14,7 +14,7 @@ from b1algebra import (
     parse_structure,
     render_structure,
 )
-from b1algebra.errors import NoBottom, NoUnit, StructureParseError
+from b1algebra.errors import LawViolation, NoBottom, NoUnit, StructureParseError
 from b1algebra.structure_io import MAX_SIZE
 
 ALGEBRA_TEXT = """\
@@ -51,6 +51,22 @@ def test_parse_poset():
     pos = parse_structure("kind poset\nsize 2\nnames x y\nleq\n1 1\n0 1\n")
     assert isinstance(pos, FinPoset)
     assert pos.leq == ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, law, witness",
+    [
+        ("1 0\n0 0\n", "reflexive", (1,)),
+        ("1 1\n1 1\n", "antisymmetric", (0, 1)),
+        ("1 1 0\n0 1 1\n0 0 1\n", "transitive", (0, 1, 2)),
+    ],
+)
+def test_poset_laws_are_checked(rows, law, witness):
+    size = rows.count("\n")
+    with pytest.raises(LawViolation) as info:
+        parse_structure(f"kind poset\nsize {size}\nleq\n{rows}")
+    assert str(info.value) == f"leq is not {law}"
+    assert info.value.witness == witness
 
 
 def test_parse_monoid():
