@@ -29,6 +29,14 @@ classes; the exact form is computed once, for the first candidate of
 each class. Posets pass only 0/1 tables, and their key is the exact
 form. Lattices are generated one per class and need no deduplication.
 
+A lattice's join table with only its bottom pinned never splits under
+the coloring, so canonical_tables(..., 1) is then the plain
+lexicographic minimum over the relabelings that fix the bottom. That minimum always puts the
+top at 1, and enumerate_lattices takes it with least_relabeling over
+only those relabelings. Pinning the top here instead would not give
+the same forms: the coloring would then split the elements, and the
+minimum would be taken over color-block layouts only.
+
 Hom sets (module, algebra and monoid morphisms, automorphisms) all
 come from one backtracking search, table_maps.
 """

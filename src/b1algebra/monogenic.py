@@ -500,6 +500,7 @@ def _search_lattice(L, tables, seen, rejected, out):
     n = L.size
     le = [[L.sum[a][b] == b for b in range(n)] for a in range(n)]
     ji = _irreducible_indices(L)
+    is_ji = [e in ji for e in range(n)]
     auts = table_automorphisms((L.sum,), n, pinned=1)
     orbit_min = {e for e in range(1, n) if e == min(p[e] for p in auts)}
 
@@ -530,11 +531,11 @@ def _search_lattice(L, tables, seen, rejected, out):
                             return False
             return True
 
-        def rec(k):
+        def rec(k, missing):
+            # missing: the join-irreducibles with no power on them yet
             if k == m:
                 _record(L, le, ps, shift, tuple(g), seen, rejected, out)
                 return
-            missing = sum(1 for e in ji if not used[e])
             if missing > m - k:
                 return
             for e in range(1, n):
@@ -552,11 +553,11 @@ def _search_lattice(L, tables, seen, rejected, out):
                 g.append(e)
                 used[e] = True
                 if compatible(k):
-                    rec(k + 1)
+                    rec(k + 1, missing - is_ji[e])
                 g.pop()
                 used[e] = False
 
-        rec(0)
+        rec(0, len(ji))
 
 
 def _record(L, le, ps, shift, g, seen, rejected, out):

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import algebra_morphism, algebra_morphisms, validate_algebra
+from .algebra import FinAlgebra, algebra_morphism, algebra_morphisms
 # canonical_tables is bound here too: perfbench/check_bench.py checks
 # that the tracer wraps its alias in this module
 from .canonical import canonical_classes, canonical_tables, table_maps  # noqa: F401
 from .core_lattice import _check_map, _commutative_monoid, _set_name
-from .monogenic import _mask_mul
 from .errors import (
     NoUnit,
     NotAGroup,
@@ -256,9 +255,26 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
     """The algebra of subsets of a monoid: union and set product.
 
     Index 0 is the empty set, index 1 the unit singleton.
+
+    The tables are built, not checked: the subsets of a commutative
+    monoid form an algebra under union and set product, and the
+    singletons under the product are a copy of the monoid, so a monoid
+    law that fails shows up in the subset tables too. Checking the
+    monoid therefore refuses the same inputs as checking the subset
+    tables would, with a witness in the monoid: NotCommutative or
+    NotAssociative, or NoUnit with the first x that the unit does not
+    fix. ValueError if two subsets get the same name.
     """
     if a.size > limit:
         raise SizeTooLarge(f"2^{a.size} subsets; the functor caps at {limit}")
+    if _commutative_monoid(a.names, a.mul, op="mul") != a.unit:
+        u = a.mul[a.unit]
+        x = next(x for x in range(a.size) if u[x] != x)
+        raise NoUnit(
+            f"{a.names[a.unit]}*{a.names[x]} = {a.names[u[x]]}",
+            witness=(x,),
+            op="mul",
+        )
     order, index = _subset_order(a)
     size = len(order)
     # image[x][m]: the set product {x} * m, one bit added per step
@@ -266,19 +282,18 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
     for row, mul_x in zip(image, a.mul):
         for m in range(1, size):
             row[m] = row[m & (m - 1)] | 1 << mul_x[(m & -m).bit_length() - 1]
+    # prod[m][k]: the set product m * k, one element of m added per step
+    prod = [[0] * size]
+    for m in range(1, size):
+        low = image[(m & -m).bit_length() - 1]
+        prod.append([p | q for p, q in zip(prod[m & (m - 1)], low)])
 
     names = tuple(_set_name(a.names, m) for m in order)
-    sum_t = tuple(
-        tuple(index[order[i] | order[j]] for j in range(size))
-        for i in range(size)
-    )
-    mul_t = tuple(
-        tuple(index[_mask_mul(image, order[i], order[j])] for j in range(size))
-        for i in range(size)
-    )
-    alg = validate_algebra(names, sum_t, mul_t)
-    assert alg.bottom == 0 and alg.unit == 1
-    return alg
+    if len(set(names)) < size:
+        raise ValueError("subset names must be distinct")
+    sum_t = tuple(tuple(index[m | k] for k in order) for m in order)
+    mul_t = tuple(tuple(index[prod[m][k]] for k in order) for m in order)
+    return FinAlgebra(names, sum_t, 0, mul_t, 1)
 
 
 def powerset_algebra_map(phi):

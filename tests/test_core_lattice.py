@@ -358,6 +358,17 @@ def test_lattices_agree_with_every_natural_labelling():
         assert got == want
 
 
+def test_lattice_forms_put_the_top_at_one():
+    # the enumeration minimises only over relabelings that send the top
+    # to 1; canonical_tables minimises over all that fix the bottom, so
+    # each form must be its own canonical form
+    for n in range(2, 9):
+        for m in enumerate_lattices(n):
+            assert m.sum[1] == (1,) * n
+            if n <= 7:
+                assert canonical_tables((m.sum,), n, 1) == (m.sum,)
+
+
 def test_small_enumerations_are_pinned():
     # names, tables and order of lattices 1..7 and posets 0..6
     out = [

@@ -1,9 +1,11 @@
 """Commutative monoids, the subsets functor, and its adjunction."""
+import hashlib
 from itertools import permutations
 
 import pytest
 
 from b1algebra import (
+    FinMonoid,
     algebra_morphisms,
     all_monoids,
     b1_algebra,
@@ -23,6 +25,7 @@ from b1algebra import (
     submonoid,
     submonoids,
     units,
+    validate_algebra,
     validate_monoid,
 )
 from b1algebra.errors import (
@@ -152,6 +155,60 @@ def test_subsets_algebra_products_are_set_products():
                         want = {b.mul[x][y] for x in s for y in t}
                         assert sets[f.mul[i][j]] == want
                         assert sets[f.sum[i][j]] == s | t
+
+
+def test_subsets_algebra_satisfies_every_law():
+    # the tables are built, not checked: the full law check is the oracle
+    monoids = [direct_product(cyclic_group(2), cyclic_group(2))]
+    for n in (1, 2, 3, 4):
+        for a in all_monoids(n):
+            monoids += [a, relabel(a, tuple(reversed(range(n))))]
+    for a in monoids:
+        r = powerset_algebra(a)
+        assert validate_algebra(r.names, r.sum, r.mul) == r
+
+
+def test_subsets_algebra_refuses_a_bad_monoid_with_a_witness():
+    non_commutative = FinMonoid(
+        ("1", "a", "b"), ((0, 1, 2), (1, 1, 1), (2, 2, 2)), 0
+    )
+    with pytest.raises(NotCommutative) as err:
+        powerset_algebra(non_commutative)
+    assert (err.value.witness, err.value.op) == ((1, 2), "mul")
+    non_associative = FinMonoid(
+        ("1", "a", "b"), ((0, 1, 2), (1, 0, 0), (2, 0, 1)), 0
+    )
+    with pytest.raises(NotAssociative) as err:
+        powerset_algebra(non_associative)
+    assert (err.value.witness, err.value.op) == ((1, 1, 2), "mul")
+    # the stated unit e is not neutral: e*1 = e
+    not_neutral = FinMonoid(("1", "e"), ((0, 1), (1, 1)), 1)
+    with pytest.raises(NoUnit, match=r"e\*1 = e") as err:
+        powerset_algebra(not_neutral)
+    assert err.value.witness == (0,)
+    no_neutral = FinMonoid(("a", "b"), ((1, 1), (1, 1)), 0)
+    with pytest.raises(NoUnit) as err:
+        powerset_algebra(no_neutral)
+    assert err.value.witness == (0,)
+
+
+def test_subsets_algebra_refuses_clashing_subset_names():
+    # {a} and {b} join to "{a,b}", the name of the singleton of "a,b"
+    c3 = cyclic_group(3)
+    with pytest.raises(ValueError, match="subset names"):
+        powerset_algebra(FinMonoid(("a", "b", "a,b"), c3.mul, c3.unit))
+
+
+def test_subsets_algebras_are_pinned():
+    # names, tables, bottom and unit for every monoid of order 1..5
+    out = [
+        (r.names, r.sum, r.mul, r.bottom, r.unit)
+        for k in (1, 2, 3, 4, 5)
+        for m in all_monoids(k)
+        for r in [powerset_algebra(m)]
+    ]
+    digest = hashlib.sha1(repr(out).encode()).hexdigest()
+    assert digest == "30e95a569a6629e76565015d69c89b731f5e2281"
 
 
 def test_subsets_algebra_sizes_are_powers_of_two():
