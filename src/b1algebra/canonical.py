@@ -18,16 +18,13 @@ distinguishable elements. The minimum is built row by row: a
 relabeling is dropped at its first row greater than the best one's,
 and its remaining rows are built only after a smaller row.
 
-canonical_classes deduplicates isomorphism classes. For relabeled
-tables, which only monoids pass, it uses a cheaper key: the canonical
-form of the tables together with the 0/1 table R[x][y] = (t[x][y] == y)
-of each table t ("x fixes y"), on which the coloring splits elements
-that the product table alone does not, so the key tries few
-bijections. The key is a canonical form of a family derived
-invariantly from the tables, so it separates exactly the isomorphism
-classes; the exact form is computed once, for the first candidate of
-each class. Posets pass only 0/1 tables, and their key is the exact
-form. Lattices are generated one per class and need no deduplication.
+canonical_classes deduplicates isomorphism classes by the exact form
+of each candidate, so its cost is one form per candidate. Its callers
+pass few labeled copies per class: enumerate_posets a 0/1 order table
+for each class one size down and each of its down-sets, and
+all_monoids the tables of a search that cuts most relabeled copies by
+lex-leader tests (monoid_functor._monoid_tables). Lattices are
+generated one per class and need no deduplication.
 
 A lattice's join table with only its bottom pinned never splits under
 the coloring, so canonical_tables(..., 1) is then the plain
@@ -167,29 +164,9 @@ def canonical_classes(families, n, pinned=0, relabel=None):
     """canonical_tables of one member of each isomorphism class among
     the table tuples in families, sorted.
 
-    A candidate's key is the canonical form of its tables plus the 0/1
-    table t[x][y] == y of each relabeled table t; the exact form is
-    computed only for the first candidate with a new key. This
-    order-refined key serves the monoids of all_monoids. When no table
-    is relabeled, as for the 0/1 order tables of enumerate_posets, the
-    key already is the exact form.
+    Each candidate costs one exact form.
     """
-    forms = {}
-    for tables in families:
-        flags = (True,) * len(tables) if relabel is None else relabel
-        derived = tuple(
-            tuple(tuple(row[y] == y for y in range(n)) for row in t)
-            for t, r in zip(tables, flags)
-            if r
-        )
-        key = canonical_tables(
-            tables + derived, n, pinned, flags + (False,) * len(derived)
-        )
-        if key not in forms:
-            forms[key] = (
-                canonical_tables(tables, n, pinned, flags) if derived else key
-            )
-    return sorted(forms.values())
+    return sorted({canonical_tables(t, n, pinned, relabel) for t in families})
 
 
 def table_automorphisms(tables, n, pinned=0):

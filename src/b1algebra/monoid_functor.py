@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .algebra import FinAlgebra, algebra_morphism, algebra_morphisms
 # canonical_tables is bound here too: perfbench/check_bench.py checks
@@ -116,22 +117,29 @@ def direct_product(a, b):
     )
 
 
-@lru_cache(maxsize=None)
-def all_monoids(n, limit=MONOID_ENUM_LIMIT):
-    """All commutative monoids of order n up to isomorphism.
+def _monoid_tables(n):
+    """Multiplication tables of commutative monoids on {0..n-1} with the
+    unit at 0, among them the least table of each isomorphism class
+    (tables compared cell by cell in fill order).
 
-    Generated by filling the multiplication table cell by cell with the
-    unit pinned at index 0, pruning on the associativity violations
-    already visible, and deduplicating by canonical table.
+    The cells i <= j of the non-unit rows are filled in row order. A
+    partial table is cut as soon as its filled cells show an
+    associativity violation, or show it greater than its image under
+    some transposition tau of two non-unit elements (the table
+    tau(t[tau(i)][tau(j)]), compared cell by cell in fill order up to
+    the first cell that either side leaves undecided). The image is a
+    table of the same class, so the least table of each class is never
+    cut, while most of its relabeled copies are.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > limit:
-        raise SizeTooLarge(f"monoid enumeration capped at {limit}")
     mul = [[None] * n for _ in range(n)]
     for x in range(n):
         mul[0][x] = mul[x][0] = x
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    swaps = []
+    for a, b in combinations(range(1, n), 2):
+        tau = list(range(n))
+        tau[a], tau[b] = b, a
+        swaps.append(tau)
 
     def violates(i, j):
         # only triples that consume the fresh cell as an outer product
@@ -147,6 +155,20 @@ def all_monoids(n, limit=MONOID_ENUM_LIMIT):
                     return True
         return False
 
+    def beaten_by_swap():
+        for tau in swaps:
+            for i, j in cells:
+                v = mul[i][j]
+                w = mul[tau[i]][tau[j]]
+                if v is None or w is None:
+                    break
+                w = tau[w]
+                if v != w:
+                    if v > w:
+                        return True
+                    break
+        return False
+
     def associative():
         # commutativity leaves three groupings per triple; compare all
         for a in range(1, n):
@@ -160,18 +182,38 @@ def all_monoids(n, limit=MONOID_ENUM_LIMIT):
     def rec(k):
         if k == len(cells):
             if associative():
-                yield (tuple(tuple(row) for row in mul),)
+                yield tuple(tuple(row) for row in mul)
             return
         i, j = cells[k]
         for v in range(n):
             mul[i][j] = mul[j][i] = v
-            if not violates(i, j):
+            if not violates(i, j) and not beaten_by_swap():
                 yield from rec(k + 1)
         mul[i][j] = mul[j][i] = None
 
+    return rec(0)
+
+
+@lru_cache(maxsize=None)
+def all_monoids(n, limit=MONOID_ENUM_LIMIT):
+    """All commutative monoids of order n up to isomorphism, one per
+    class, as canonical tables with the unit at index 0, sorted.
+
+    The tables come from _monoid_tables, a cell-by-cell search with
+    lex-leader pruning: a partial table is cut once it is greater than
+    its image under a transposition of two non-unit elements. The least
+    table of each class passes every such test, so each class is found;
+    the few relabeled copies that also pass are merged by their
+    canonical form.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n > limit:
+        raise SizeTooLarge(f"monoid enumeration capped at {limit}")
     names = ("1",) + tuple(f"m{i}" for i in range(1, n))
+    tables = ((t,) for t in _monoid_tables(n))
     return tuple(
-        FinMonoid(names, tbl, 0) for (tbl,) in canonical_classes(rec(0), n, 1)
+        FinMonoid(names, tbl, 0) for (tbl,) in canonical_classes(tables, n, 1)
     )
 
 

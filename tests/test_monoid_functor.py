@@ -1,6 +1,6 @@
 """Commutative monoids, the subsets functor, and its adjunction."""
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -28,6 +28,7 @@ from b1algebra import (
     validate_algebra,
     validate_monoid,
 )
+from b1algebra.canonical import canonical_tables
 from b1algebra.errors import (
     NoUnit,
     NotAGroup,
@@ -36,6 +37,7 @@ from b1algebra.errors import (
     NotSubmonoid,
     SizeTooLarge,
 )
+from b1algebra.monoid_functor import _monoid_tables
 
 
 def trivial():
@@ -76,6 +78,45 @@ def test_direct_product_of_groups():
 
 def test_monoid_counts_up_to_five():
     assert [len(all_monoids(n)) for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 19, 78]
+
+
+def test_monoids_of_order_six_are_pinned():
+    out = [m.mul for m in all_monoids(6)]
+    digest = hashlib.sha1(repr(out).encode()).hexdigest()
+    assert digest == "e6487eb4f50b119f9bed7099183624d1b07a3fdb"
+
+
+def _exhaustive_monoid_forms(n):
+    # every commutative table with the unit at 0, no pruning
+    free = [(i, j) for i in range(1, n) for j in range(i, n)]
+    forms = set()
+    for values in product(range(n), repeat=len(free)):
+        mul = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+        for (i, j), v in zip(free, values):
+            mul[i][j] = mul[j][i] = v
+        if all(
+            mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        ):
+            forms.add(canonical_tables((tuple(map(tuple, mul)),), n, 1)[0])
+    return sorted(forms)
+
+
+def test_monoids_match_an_exhaustive_search_up_to_four():
+    for n in range(1, 5):
+        assert [m.mul for m in all_monoids(n)] == _exhaustive_monoid_forms(n)
+
+
+def test_lex_leader_search_finds_every_class_with_few_copies():
+    # A058131: commutative monoids of order n up to isomorphism
+    for n, classes, most in ((4, 19, 19), (5, 78, 79), (6, 421, 436)):
+        tables = list(_monoid_tables(n))
+        assert len(tables) <= most
+        assert len({canonical_tables((t,), n, 1) for t in tables}) == classes
+        names = [str(x) for x in range(n)]
+        assert all(validate_monoid(names, t).unit == 0 for t in tables)
 
 
 def test_enumerated_monoids_have_pinned_units():
