@@ -7,8 +7,12 @@ a: either some power dies (a^t = 0) or the sequence becomes periodic
 of powers. The enumerator walks exactly that data: a lattice, a power
 structure, and an injective placement of the distinct powers into the
 lattice, subject to the one compatibility law a product must satisfy.
-Each class gets a presentation that is re-closed as a check, and a
-table-level brute force provides an independent count for small sizes.
+A kept placement is its closure table, close[S] the mask of the powers
+under the join of the powers in S. Every algebra here (a closed
+presentation, a census class, a power algebra) is the quotient of a
+power algebra by a representative table over its masks. Each class gets
+a presentation that is re-closed as a check, and a table-level brute
+force provides an independent count for small sizes.
 """
 
 from __future__ import annotations
@@ -138,15 +142,9 @@ def power_reduction_algebra(ps):
         raise SizeTooLarge(
             f"2^{m} elements; power structures cap at {CLOSE_CAP_LIMIT}"
         )
-    shift = _shift_table(ps)
-    size = 1 << m
-    sum_t = tuple(tuple(x | y for y in range(size)) for x in range(size))
-    mul_t = tuple(
-        tuple(_mask_mul(shift, x, y) for y in range(size)) for x in range(size)
-    )
-    names = tuple(
-        _compact(_exp_poly(_bits(mask))) for mask in range(size)
-    )
+    masks = range(1 << m)
+    sum_t, mul_t = _quotient_tables(_shift_table(ps), masks, masks)
+    names = tuple(_compact(_exp_poly(_bits(mask))) for mask in masks)
     return FinAlgebra(names, sum_t, 0, mul_t, 1)
 
 
@@ -172,6 +170,19 @@ def _mask_mul(shift, x, y):
         acc |= shift[(x & -x).bit_length() - 1][y]
         x &= x - 1
     return acc
+
+
+def _quotient_tables(shift, rep, elems):
+    """Sum and product tables, over the indices of elems, of the
+    quotient of a power algebra by the congruence whose representative
+    table is rep: rep[x] is the chosen mask of x's class, and elems
+    lists each chosen mask once."""
+    pos = {x: i for i, x in enumerate(elems)}
+    sum_t = tuple(tuple(pos[rep[x | y]] for y in elems) for x in elems)
+    mul_t = tuple(
+        tuple(pos[rep[_mask_mul(shift, x, y)]] for y in elems) for x in elems
+    )
+    return sum_t, mul_t
 
 
 def _bits(mask):
@@ -306,10 +317,11 @@ def _saturate_power_rule(rels, cap):
 
 def _close_in_power_algebra(ps, shift, rels):
     """Exact congruence closure of the relations inside the power-rule
-    algebra whose shift table is given; returns the classes, keyed by
-    root. A merge of a with b forces, for every single monomial g, the
-    merges of a+g with b+g and a*g with b*g; arbitrary elements
-    decompose into monomials, so this reaches full compatibility."""
+    algebra whose shift table is given, as its representative table:
+    rep[x] is the least mask in x's class. A merge of a with b forces,
+    for every single monomial g, the merges of a+g with b+g and a*g with
+    b*g; arbitrary elements decompose into monomials, so this reaches
+    full compatibility."""
     m = len(shift)
     red = _reduction(ps, max([0] + [e for l, r in rels for e in l | r]))
     parent = list(range(1 << m))
@@ -339,10 +351,8 @@ def _close_in_power_algebra(ps, shift, rels):
             g = 1 << k
             work.append((a | g, b | g))
             work.append((shift[k][a], shift[k][b]))
-    classes = {}
-    for x in range(1 << m):
-        classes.setdefault(find(x), []).append(x)
-    return classes
+    least = {}
+    return [least.setdefault(find(x), x) for x in range(1 << m)]
 
 
 def _stated_power_rule(rels, cap):
@@ -377,14 +387,15 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
     rels = [(_poly_exps(l), _poly_exps(r)) for l, r in p.relations]
-    ps, shift, classes = _close(rels, cap)
-    return _algebra_from_classes(shift, classes, ps, p)
+    ps, shift, rep = _close(rels, cap)
+    return _algebra_from_classes(shift, rep, ps, p)
 
 
 def _close(rels, cap):
     """The stages of close_presentation on relations given as exponent
-    sets: returns the power rule, its shift table and the classes of
-    the quotient, or raises CollapsesZeroOne or TooLarge."""
+    sets: returns the power rule, its shift table and the quotient's
+    representative table (the least mask of each class), or raises
+    CollapsesZeroOne or TooLarge."""
     _check_not_collapsing(rels)
     ps = _stated_power_rule(rels, cap) or _saturate_power_rule(rels, cap)
     if ps is None:
@@ -395,48 +406,33 @@ def _close(rels, cap):
             stage="search",
         )
     shift = _shift_table(ps)
-    classes = _close_in_power_algebra(ps, shift, rels)
-    if len(classes) > cap:
+    rep = _close_in_power_algebra(ps, shift, rels)
+    size = len(set(rep))
+    if size > cap:
         raise TooLarge(
-            f"quotient has {len(classes)} elements, cap is {cap}",
+            f"quotient has {size} elements, cap is {cap}",
             stage="closure",
-            size=len(classes),
+            size=size,
             bound=cap,
         )
-    return ps, shift, classes
+    return ps, shift, rep
 
 
-def _algebra_from_classes(shift, classes, ps, presentation):
-    m = _structure_size(ps)
-    red = _reduction(ps, max(1, m))
-    reps = {root: min(members) for root, members in classes.items()}
-    root_of = {}
-    for root, members in classes.items():
-        for x in members:
-            root_of[x] = root
-    gen_mask = 0 if red[1] is None else 1 << red[1]
-    order = [root_of[0], root_of[1]]
-    gen_root = root_of[gen_mask]
-    if gen_root not in order:
-        order.append(gen_root)
-    for root in sorted(classes, key=lambda r: reps[r]):
-        if root not in order:
-            order.append(root)
-    pos = {root: k for k, root in enumerate(order)}
-    k = len(order)
-    sum_t = [[0] * k for _ in range(k)]
-    mul_t = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            x, y = reps[order[a]], reps[order[b]]
-            sum_t[a][b] = pos[root_of[x | y]]
-            mul_t[a][b] = pos[root_of[_mask_mul(shift, x, y)]]
-    names = tuple(
-        _compact(_exp_poly(_bits(reps[root]))) for root in order
-    )
+def _generator_mask(ps):
+    red = _reduction(ps, 1)
+    return 0 if red[1] is None else 1 << red[1]
+
+
+def _algebra_from_classes(shift, rep, ps, presentation):
+    """The quotient named by the least mask of each class: 0, 1 and a
+    first, then the rest in mask order."""
+    gen = rep[_generator_mask(ps)]
+    elems = list(dict.fromkeys([0, rep[1], gen, *sorted(set(rep))]))
+    sum_t, mul_t = _quotient_tables(shift, rep, elems)
+    names = tuple(_compact(_exp_poly(_bits(x))) for x in elems)
     alg = validate_algebra(names, sum_t, mul_t)
     assert alg.bottom == 0 and alg.unit == 1
-    return MonogenicAlgebra(alg, pos[gen_root], presentation)
+    return MonogenicAlgebra(alg, elems.index(gen), presentation)
 
 
 def _refute_by_model(rels, cap):
@@ -452,7 +448,7 @@ def _refute_by_model(rels, cap):
     for q in _power_structures(cap + 1):
         if 1 << _structure_size(q) <= cap:
             continue
-        size = len(_close_in_power_algebra(q, _shift_table(q), rels))
+        size = len(set(_close_in_power_algebra(q, _shift_table(q), rels)))
         if size > cap:
             raise TooLarge(
                 f"a quotient with {size} elements satisfies the relations, "
@@ -470,7 +466,7 @@ def _trial_size(trial, ps, cap):
     rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
     if _structure_relation(ps) not in trial:
         _refute_by_model(rels, cap)
-    return len(_close(rels, cap)[2])
+    return len(set(_close(rels, cap)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +490,7 @@ def _mask_joins(L, g):
     return out
 
 
-def _search_lattice(L, tables, seen, rejected, out):
+def _search_lattice(L, tables, verdicts, out):
     """All valid power placements into one lattice, for each power
     structure in tables, which pairs it with its shift table."""
     n = L.size
@@ -534,7 +530,7 @@ def _search_lattice(L, tables, seen, rejected, out):
         def rec(k, missing):
             # missing: the join-irreducibles with no power on them yet
             if k == m:
-                _record(L, le, ps, shift, tuple(g), seen, rejected, out)
+                _record(L, le, ps, shift, g, verdicts, out)
                 return
             if missing > m - k:
                 return
@@ -560,16 +556,18 @@ def _search_lattice(L, tables, seen, rejected, out):
         rec(0, len(ji))
 
 
-def _record(L, le, ps, shift, g, seen, rejected, out):
+def _record(L, le, ps, shift, g, verdicts, out):
     """Keep a placement whose powers join to every nonbottom element
-    and which satisfies the product law, keyed on its masks below[e],
-    the powers placed under each element e.
+    and which satisfies the product law as (ps, shift, close); verdicts
+    holds the law's verdict keyed on the masks below[e], the powers
+    placed under each element e.
 
     The law: whenever a power sits under a join of powers, multiplying
     every exponent by a^t preserves that. Necessary for any product,
     and sufficient for the join data to carry one. shift[t][1 << k] is
     the bit of a^(k+t) reduced, so the law for the powers S and one t
-    is a single mask test.
+    is a single mask test. Most placements fail it, so only one that
+    passes gets its closure table.
     """
     n = L.size
     m = len(g)
@@ -578,29 +576,27 @@ def _record(L, le, ps, shift, g, seen, rejected, out):
         # every nonbottom element must be a join of powers
         return
     key = (ps, frozenset(below))
-    if key in seen or key in rejected:
+    if key in verdicts:
         return
     join_of = _mask_joins(L, g)
-    if all(
+    verdicts[key] = all(
         shift[t][below[join_of[s]]] & ~below[join_of[shift[t][s]]] == 0
         for s in range(1 << m)
         for t in range(1, m)
-    ):
-        seen.add(key)
-        out.append((L, ps, shift, g, below))
-    else:
-        rejected.add(key)
+    )
+    if verdicts[key]:
+        out.append((ps, shift, [below[j] for j in join_of]))
 
 
-def _maximal(below, g, mask):
+def _maximal(close, mask):
     """The powers in mask that lie under no other power in mask."""
     covered = 0
     for k in _bits(mask):
-        covered |= below[g[k]] & ~(1 << k)
+        covered |= close[1 << k] & ~(1 << k)
     return mask & ~covered
 
 
-def _derive_presentation(L, below, ps, g, result):
+def _derive_presentation(close, ps, result):
     """A generating relation list, then greedily shrunk.
 
     Complete before shrinking: the power rule pins the exponent
@@ -623,12 +619,11 @@ def _derive_presentation(L, below, ps, g, result):
     cap < 2^m' and m' <= cap has more than cap classes, a model proving
     the quotient too large; otherwise close_presentation decides it.
     """
-    m = len(g)
-    join_of = _mask_joins(L, g)
+    m = _structure_size(ps)
     rels = [_structure_relation(ps)]
     # covers within the exponent order
     lower_covers = [
-        _maximal(below, g, below[e] & ~(1 << k)) for k, e in enumerate(g)
+        _maximal(close, close[1 << k] & ~(1 << k)) for k in range(m)
     ]
     for j in range(m):
         for k in range(m):
@@ -636,13 +631,13 @@ def _derive_presentation(L, below, ps, g, result):
                 rels.append((_exp_poly((j, k)), _exp_poly((k,))))
     # joins of antichains
     for mask in range(1, 1 << m):
-        if mask & (mask - 1) == 0 or _maximal(below, g, mask) != mask:
+        if mask & (mask - 1) == 0 or _maximal(close, mask) != mask:
             continue
-        target = _maximal(below, g, below[join_of[mask]])
+        target = _maximal(close, close[mask])
         if target != mask:
             rels.append((_exp_poly(_bits(mask)), _exp_poly(_bits(target))))
 
-    cap = min(CLOSE_CAP_LIMIT, max(2, L.size))
+    cap = min(CLOSE_CAP_LIMIT, max(2, result.algebra.size))
     kept = list(rels)
     changed = True
     while changed:
@@ -667,43 +662,39 @@ def _derive_presentation(L, below, ps, g, result):
     return final
 
 
-def _assemble(L, ps, shift, g, below):
-    """Build the canonical marked algebra for one placement."""
-    n = L.size
-    join_of = _mask_joins(L, g)
-    mul = [
-        [join_of[_mask_mul(shift, below[e], below[f])] for f in range(n)]
-        for e in range(n)
-    ]
-    red = _reduction(ps, 1)
-    gen = L.bottom if red[1] is None else g[red[1]]
-    unit = g[0]
-    pinned = [L.bottom, unit]
-    if gen not in pinned:
-        pinned.append(gen)
+def _assemble(ps, shift, close):
+    """Build the canonical marked algebra for one placement: the
+    quotient by its closure table, each element named by the maximal
+    powers of its closed set."""
+    gen = close[_generator_mask(ps)]
+    pinned = list(dict.fromkeys([0, close[1], gen]))
     rest = sorted(
-        (e for e in range(n) if e not in pinned),
-        key=lambda e: (below[e].bit_count(), _bits(below[e])),
+        set(close) - set(pinned), key=lambda x: (x.bit_count(), _bits(x))
     )
+    elems = pinned + rest
+    n = len(elems)
+    p = len(pinned)
 
     def relabelings():
-        for tail in permutations(rest):
+        for tail in permutations(range(p, n)):
             perm = [0] * n
-            for i, e in enumerate(pinned + list(tail)):
+            for i, e in enumerate([*range(p), *tail]):
                 perm[e] = i
             yield perm
 
     # the first least relabeling names the elements, so ties keep it
-    best, perm = least_relabeling((L.sum, mul), relabelings())
+    best, perm = least_relabeling(
+        _quotient_tables(shift, close, elems), relabelings()
+    )
     best_order = sorted(range(n), key=perm.__getitem__)
     names = tuple(
-        _compact(_exp_poly(_bits(_maximal(below, g, below[e]))))
+        _compact(_exp_poly(_bits(_maximal(close, elems[e]))))
         for e in best_order
     )
     alg = validate_algebra(names, best[0], best[1])
     assert alg.bottom == 0 and alg.unit == 1
-    result = MonogenicAlgebra(alg, perm[gen], Presentation(()))
-    pres = _derive_presentation(L, below, ps, g, result)
+    result = MonogenicAlgebra(alg, pinned.index(gen), Presentation(()))
+    pres = _derive_presentation(close, ps, result)
     return MonogenicAlgebra(alg, result.generator, pres)
 
 
@@ -715,12 +706,11 @@ def enumerate_monogenic(n, limit=ENUM_LIMIT):
         raise ValueError("sizes start at 2")
     if n > limit:
         raise SizeTooLarge(f"enumeration capped at {limit}; raise the limit to go on")
-    seen = set()
-    rejected = set()
+    verdicts = {}
     raw = []
     tables = [(ps, _shift_table(ps)) for ps in _power_structures(n)]
     for L in enumerate_lattices(n):
-        _search_lattice(L, tables, seen, rejected, raw)
+        _search_lattice(L, tables, verdicts, raw)
     results = [_assemble(*placement) for placement in raw]
     keys = [canonical_key(r.algebra, r.generator) for r in results]
     assert len(set(keys)) == len(keys)

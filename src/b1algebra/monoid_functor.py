@@ -29,6 +29,7 @@ from .errors import (
 
 FUNCTOR_LIMIT = 5
 MONOID_ENUM_LIMIT = 6
+GROUP_ORDER_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _monoid_tables(n):
 
 
 @lru_cache(maxsize=None)
-def all_monoids(n, limit=MONOID_ENUM_LIMIT):
+def all_monoids(n):
     """All commutative monoids of order n up to isomorphism, one per
     class, as canonical tables with the unit at index 0, sorted.
 
@@ -208,8 +209,8 @@ def all_monoids(n, limit=MONOID_ENUM_LIMIT):
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if n > limit:
-        raise SizeTooLarge(f"monoid enumeration capped at {limit}")
+    if n > MONOID_ENUM_LIMIT:
+        raise SizeTooLarge(f"monoid enumeration capped at {MONOID_ENUM_LIMIT}")
     names = ("1",) + tuple(f"m{i}" for i in range(1, n))
     tables = ((t,) for t in _monoid_tables(n))
     return tuple(
@@ -293,7 +294,7 @@ def _subset_order(a):
     return order, {m: i for i, m in enumerate(order)}
 
 
-def powerset_algebra(a, limit=FUNCTOR_LIMIT):
+def powerset_algebra(a):
     """The algebra of subsets of a monoid: union and set product.
 
     Index 0 is the empty set, index 1 the unit singleton.
@@ -307,8 +308,8 @@ def powerset_algebra(a, limit=FUNCTOR_LIMIT):
     NotAssociative, or NoUnit with the first x that the unit does not
     fix. ValueError if two subsets get the same name.
     """
-    if a.size > limit:
-        raise SizeTooLarge(f"2^{a.size} subsets; the functor caps at {limit}")
+    if a.size > FUNCTOR_LIMIT:
+        raise SizeTooLarge(f"2^{a.size} subsets; the functor caps at {FUNCTOR_LIMIT}")
     if _commutative_monoid(a.names, a.mul, op="mul") != a.unit:
         u = a.mul[a.unit]
         x = next(x for x in range(a.size) if u[x] != x)
@@ -405,14 +406,14 @@ class FullFaithfulness:
         )
 
 
-def full_faithfulness_check(a, b, limit=4):
+def full_faithfulness_check(a, b):
     """Compare algebra homs between subset algebras of two abelian
     groups with the group homs that induce them."""
     for g in (a, b):
         if not is_group(g):
             raise NotAGroup("full faithfulness is only claimed over groups")
-    if a.size > limit or b.size > limit:
-        raise SizeTooLarge(f"group order capped at {limit}")
+    if a.size > GROUP_ORDER_LIMIT or b.size > GROUP_ORDER_LIMIT:
+        raise SizeTooLarge(f"group order capped at {GROUP_ORDER_LIMIT}")
     fa = powerset_algebra(a)
     fb = powerset_algebra(b)
     ahoms = algebra_morphisms(fa, fb)

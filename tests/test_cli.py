@@ -130,6 +130,15 @@ def test_monogenic_input_errors(capsys):
     assert "SizeTooLarge" in out
 
 
+def test_monogenic_max_n_sets_the_size_cap(capsys):
+    code, out = invoke(capsys, "monogenic", "3", "--max-n", "2")
+    assert code == 2
+    assert out == (
+        "input error: SizeTooLarge: enumeration capped at 2; "
+        "raise the limit to go on\n"
+    )
+
+
 def test_maxspec_report(capsys):
     code, out = invoke(capsys, "maxspec", "2")
     assert code == 0

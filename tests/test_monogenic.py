@@ -25,11 +25,13 @@ from b1algebra import monogenic
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
     Presentation,
+    _close_in_power_algebra,
     _derive_presentation,
     _exp_poly,
     _poly_exps,
     _power_structures,
     _refute_by_model,
+    _shift_table,
     _structure_relation,
     _structure_size,
     _trial_size,
@@ -183,6 +185,56 @@ def test_closed_algebra_is_join_generated_by_powers():
         for s in powers:
             reach |= {a.sum[t][s] for t in reach}
         assert reach == set(range(a.size))
+
+
+def test_closing_gives_the_least_mask_of_each_class():
+    # rep[x] == rep[y] implies the same of x, y moved by a monomial;
+    # testing each x against rep[x] covers every pair of one class
+    powers = [frozenset()] + [frozenset((e,)) for e in range(5)]
+    binomials = list(combinations(powers, 2))
+    rel_lists = [[b] for b in binomials] + [
+        list(pair) for pair in combinations(binomials, 2)
+    ]
+    for ps in _power_structures(5):
+        shift = _shift_table(ps)
+        for rels in rel_lists:
+            rep = _close_in_power_algebra(ps, shift, rels)
+            for x in range(len(rep)):
+                assert rep[x] <= x and rep[rep[x]] == rep[x]
+                for k in range(len(shift)):
+                    g = 1 << k
+                    assert rep[x | g] == rep[rep[x] | g]
+                    assert rep[shift[k][x]] == rep[shift[k][rep[x]]]
+
+
+def kept_closure_tables(n):
+    """The (ps, shift, close) of every placement the census keeps."""
+    kept = []
+    assemble = monogenic._assemble
+
+    def record(ps, shift, close):
+        kept.append((ps, shift, close))
+        return assemble(ps, shift, close)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_assemble", record)
+        enumerate_monogenic.__wrapped__(n)
+    return kept
+
+
+def test_kept_placements_are_closure_tables_with_the_shift_law():
+    for n in (2, 3, 4, 5):
+        kept = kept_closure_tables(n)
+        assert len(kept) == len(enumerate_monogenic(n))
+        for ps, shift, close in kept:
+            assert len(set(close)) == n
+            for s in range(len(close)):
+                c = close[s]
+                assert s & c == s and close[c] == c
+                for k in range(len(shift)):
+                    # monotone along each added power, hence monotone
+                    assert close[s | 1 << k] & c == c
+                    assert shift[k][c] & ~close[shift[k][s]] == 0
 
 
 def test_counts_match_the_proved_range():
@@ -389,9 +441,9 @@ def shrink_trials():
     calls = []
     current = []
 
-    def derive(L, below, ps, g, result):
+    def derive(close, ps, result):
         current[:] = [result]
-        return _derive_presentation(L, below, ps, g, result)
+        return _derive_presentation(close, ps, result)
 
     def record(trial, ps, cap):
         size = None

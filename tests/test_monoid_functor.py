@@ -37,7 +37,8 @@ from b1algebra.errors import (
     NotSubmonoid,
     SizeTooLarge,
 )
-from b1algebra.monoid_functor import _monoid_tables
+from b1algebra import monoid_functor
+from b1algebra.monoid_functor import MONOID_ENUM_LIMIT, _monoid_tables
 
 
 def trivial():
@@ -78,6 +79,16 @@ def test_direct_product_of_groups():
 
 def test_monoid_counts_up_to_five():
     assert [len(all_monoids(n)) for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 19, 78]
+
+
+def _no_work(*args):
+    raise AssertionError("the size cap must come first")
+
+
+def test_monoid_enumeration_is_capped_before_any_search(monkeypatch):
+    monkeypatch.setattr(monoid_functor, "_monoid_tables", _no_work)
+    with pytest.raises(SizeTooLarge):
+        all_monoids(MONOID_ENUM_LIMIT + 1)
 
 
 def test_monoids_of_order_six_are_pinned():
@@ -351,6 +362,12 @@ def test_full_faithfulness_on_small_groups():
 def test_full_faithfulness_requires_groups():
     with pytest.raises(NotAGroup):
         full_faithfulness_check(idempotent_pair(), cyclic_group(2))
+
+
+def test_full_faithfulness_is_capped_before_any_work(monkeypatch):
+    monkeypatch.setattr(monoid_functor, "powerset_algebra", _no_work)
+    with pytest.raises(SizeTooLarge):
+        full_faithfulness_check(cyclic_group(5), cyclic_group(1))
 
 
 def test_faithfulness_fails_outside_groups():
