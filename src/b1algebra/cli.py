@@ -38,7 +38,13 @@ from .monoid_functor import (
     multiplicative_monoid,
     powerset_algebra,
 )
-from .polynomial import equal_mod_zero_set, evaluate, maxspec, parse_poly
+from .polynomial import (
+    MAXSPEC_LIMIT,
+    equal_mod_zero_set,
+    evaluate,
+    maxspec,
+    parse_poly,
+)
 from .structure_io import load_structure, render_structure
 
 
@@ -155,6 +161,9 @@ def _cmd_birkhoff(args):
 
 
 def _cmd_gl(args):
+    if args.n < 0:
+        print("input error: basis size must be nonnegative")
+        return 2
     auts = automorphisms(args.n)
     print(f"order: {len(auts)}")
     for i, aut in enumerate(auts):
@@ -191,6 +200,10 @@ def _cmd_monogenic(args):
 
 
 def _cmd_maxspec(args):
+    # checked here: the variable names are built before maxspec sees them
+    if not 1 <= args.n <= MAXSPEC_LIMIT:
+        print(f"input error: the variable count runs from 1 to {MAXSPEC_LIMIT}")
+        return 2
     variables = tuple(f"x{i}" for i in range(1, args.n + 1))
     report = maxspec(variables)
     print("variables: " + " ".join(report.variables))

@@ -7,6 +7,9 @@ a: either some power dies (a^t = 0) or the sequence becomes periodic
 of powers. The enumerator walks exactly that data: a lattice, a power
 structure, and an injective placement of the distinct powers into the
 lattice, subject to the one compatibility law a product must satisfy.
+It reaches each placement once per orbit of the lattice's automorphisms,
+by the stabilisers of the powers placed so far, and the powers
+join-generate the lattice exactly when they cover its join-irreducibles.
 A kept placement is its closure table, close[S] the mask of the powers
 under the join of the powers in S. Every algebra here (a closed
 presentation, a census class, a power algebra) is the quotient of a
@@ -490,15 +493,18 @@ def _mask_joins(L, g):
     return out
 
 
-def _search_lattice(L, tables, verdicts, out):
-    """All valid power placements into one lattice, for each power
-    structure in tables, which pairs it with its shift table."""
+def _search_lattice(L, tables, out):
+    """One valid power placement into a lattice per Aut(L) orbit, for
+    each power structure in tables, which pairs it with its shift table:
+    each power is least in its orbit under the stabiliser of the powers
+    before it, and every pruning is Aut(L)-invariant. missing counts the
+    join-irreducibles with no power yet; none may be left at the end."""
     n = L.size
     le = [[L.sum[a][b] == b for b in range(n)] for a in range(n)]
     ji = _irreducible_indices(L)
     is_ji = [e in ji for e in range(n)]
-    auts = table_automorphisms((L.sum,), n, pinned=1)
-    orbit_min = {e for e in range(1, n) if e == min(p[e] for p in auts)}
+    # the identity comes first and fixes everything
+    auts = table_automorphisms((L.sum,), n, pinned=1)[1:]
 
     for ps, shift in tables:
         m = len(shift)
@@ -527,17 +533,17 @@ def _search_lattice(L, tables, verdicts, out):
                             return False
             return True
 
-        def rec(k, missing):
-            # missing: the join-irreducibles with no power on them yet
-            if k == m:
-                _record(L, le, ps, shift, g, verdicts, out)
-                return
+        def rec(k, missing, stab):
+            # stab: the automorphisms besides the identity that fix g
             if missing > m - k:
+                return
+            if k == m:
+                _record(L, le, ps, shift, g, out)
                 return
             for e in range(1, n):
                 if used[e]:
                     continue
-                if k == 0 and e not in orbit_min:
+                if stab and any(p[e] < e for p in stab):
                     continue
                 if k >= cyc_start:
                     # the periodic part is an antichain
@@ -549,18 +555,18 @@ def _search_lattice(L, tables, verdicts, out):
                 g.append(e)
                 used[e] = True
                 if compatible(k):
-                    rec(k + 1, missing - is_ji[e])
+                    fix = [p for p in stab if p[e] == e]
+                    rec(k + 1, missing - is_ji[e], fix)
                 g.pop()
                 used[e] = False
 
-        rec(0, len(ji))
+        rec(0, len(ji), auts)
 
 
-def _record(L, le, ps, shift, g, verdicts, out):
-    """Keep a placement whose powers join to every nonbottom element
-    and which satisfies the product law as (ps, shift, close); verdicts
-    holds the law's verdict keyed on the masks below[e], the powers
-    placed under each element e.
+def _record(L, le, ps, shift, g, out):
+    """Keep a placement that satisfies the product law as (ps, shift,
+    close), read off below[e], the mask of the powers placed under each
+    element e: close[S] is below at the join of the powers in S.
 
     The law: whenever a power sits under a join of powers, multiplying
     every exponent by a^t preserves that. Necessary for any product,
@@ -572,19 +578,12 @@ def _record(L, le, ps, shift, g, verdicts, out):
     n = L.size
     m = len(g)
     below = [sum(1 << k for k in range(m) if le[g[k]][e]) for e in range(n)]
-    if not all(below[1:]) or len(set(below)) != n:
-        # every nonbottom element must be a join of powers
-        return
-    key = (ps, frozenset(below))
-    if key in verdicts:
-        return
     join_of = _mask_joins(L, g)
-    verdicts[key] = all(
+    if all(
         shift[t][below[join_of[s]]] & ~below[join_of[shift[t][s]]] == 0
         for s in range(1 << m)
         for t in range(1, m)
-    )
-    if verdicts[key]:
+    ):
         out.append((ps, shift, [below[j] for j in join_of]))
 
 
@@ -706,11 +705,10 @@ def enumerate_monogenic(n, limit=ENUM_LIMIT):
         raise ValueError("sizes start at 2")
     if n > limit:
         raise SizeTooLarge(f"enumeration capped at {limit}; raise the limit to go on")
-    verdicts = {}
     raw = []
     tables = [(ps, _shift_table(ps)) for ps in _power_structures(n)]
     for L in enumerate_lattices(n):
-        _search_lattice(L, tables, verdicts, raw)
+        _search_lattice(L, tables, raw)
     results = [_assemble(*placement) for placement in raw]
     keys = [canonical_key(r.algebra, r.generator) for r in results]
     assert len(set(keys)) == len(keys)

@@ -24,6 +24,8 @@ from .errors import (
 )
 
 MAXSPEC_LIMIT = 10
+# parsed exponents are capped: closing and evaluating cost one step per unit
+MAX_EXPONENT = 10_000
 DEFAULT_SEED = 0xB1
 
 
@@ -165,9 +167,9 @@ def _tokenize(text):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in "0123456789":  # not isdigit(): int() refuses '²'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -190,7 +192,8 @@ def parse_poly(text, variables):
     Grammar: poly is '0' or terms joined by '+'; a term is '1' or
     factors joined by '*'; a factor is a variable with an optional
     '^' exponent. Whitespace is ignored; '+' and '*' collapse
-    duplicates by the set semantics.
+    duplicates by the set semantics. An exponent above MAX_EXPONENT,
+    alone or summed over a term's factors, is a PolyParseError.
     """
     variables = tuple(variables)
     pos = {v: i for i, v in enumerate(variables)}
@@ -220,11 +223,17 @@ def parse_poly(text, variables):
         take("ident")
         if t[1] not in pos:
             raise UnknownVariable(f"unknown variable {t[1]!r}")
+        i = pos[t[1]]
         e = 1
         if peek()[0] == "^":
             take("^")
-            e = int(take("num")[1])
-        exps[pos[t[1]]] += e
+            t = take("num")
+            # digit count first: int() refuses very long digit strings
+            too_long = len(t[1].lstrip("0")) > len(str(MAX_EXPONENT))
+            e = MAX_EXPONENT + 1 if too_long else int(t[1])
+        exps[i] += e
+        if exps[i] > MAX_EXPONENT:
+            raise PolyParseError(f"exponent is above the limit of {MAX_EXPONENT}", t[2])
 
     def term():
         t = peek()

@@ -139,6 +139,16 @@ def test_monogenic_max_n_sets_the_size_cap(capsys):
     )
 
 
+def test_bad_integer_arguments_exit_2(capsys):
+    assert invoke(capsys, "gl", "-1") == (
+        2, "input error: basis size must be nonnegative\n"
+    )
+    for n in ("0", "11"):
+        assert invoke(capsys, "maxspec", n) == (
+            2, "input error: the variable count runs from 1 to 10\n"
+        )
+
+
 def test_maxspec_report(capsys):
     code, out = invoke(capsys, "maxspec", "2")
     assert code == 0
@@ -181,6 +191,15 @@ def test_simI_parse_error_has_position(capsys):
                        "x ++ 1", "x")
     assert code == 2
     assert out == "parse error: expected a variable, found '+' (at position 3)\n"
+
+
+def test_simI_refuses_a_huge_exponent(capsys):
+    code, out = invoke(capsys, "simI", "--vars", "x", "--zero-set", "x",
+                       "x^" + "9" * 5000, "0")
+    assert code == 2
+    assert out == (
+        "parse error: exponent is above the limit of 10000 (at position 2)\n"
+    )
 
 
 def test_functor_emits_a_loadable_algebra(capsys, tmp_path):

@@ -22,6 +22,7 @@ from b1algebra import (
     zhu_formula,
 )
 from b1algebra import monogenic
+from b1algebra.core_lattice import _irreducible_indices
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
     Presentation,
@@ -235,6 +236,30 @@ def test_kept_placements_are_closure_tables_with_the_shift_law():
                     # monotone along each added power, hence monotone
                     assert close[s | 1 << k] & c == c
                     assert shift[k][c] & ~close[shift[k][s]] == 0
+
+
+def test_each_placement_is_reached_once():
+    """Every placement the search completes puts a power on each
+    join-irreducible, and no two share a lattice, a power structure and
+    the masks of the powers under each element: two such placements
+    would differ by an automorphism of the lattice."""
+    keys = []
+    record = monogenic._record
+
+    def wrap(L, le, ps, shift, g, *rest):
+        assert set(_irreducible_indices(L)) <= set(g)
+        below = [
+            sum(1 << k for k, x in enumerate(g) if L.sum[x][e] == e)
+            for e in range(L.size)
+        ]
+        keys.append((ps, frozenset(below), L.sum))
+        return record(L, le, ps, shift, g, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_record", wrap)
+        for n in range(2, 7):
+            enumerate_monogenic.__wrapped__(n)
+    assert len(set(keys)) == len(keys)
 
 
 def test_counts_match_the_proved_range():

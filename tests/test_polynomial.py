@@ -27,6 +27,7 @@ from b1algebra.errors import (
     UnknownVariable,
     VariableMismatch,
 )
+from b1algebra.polynomial import MAX_EXPONENT
 
 XY = ("x", "y")
 
@@ -54,6 +55,31 @@ def test_parse_error_positions():
     with pytest.raises(PolyParseError) as e:
         p("x ++ 1")
     assert e.value.position == 3
+
+
+def test_parse_caps_exponents_before_converting_them():
+    assert p("x^10000") == make_poly(XY, [(MAX_EXPONENT, 0)])
+    assert p("x^010000*y^0") == p("x^10000")
+    for text, at in (
+        ("x + y^10001", 6),
+        ("x^" + "9" * 5000, 2),
+        ("1 + x^6000*y*x^4001", 15),
+        ("x" + "*x" * MAX_EXPONENT, 2 * MAX_EXPONENT),
+    ):
+        with pytest.raises(PolyParseError) as e:
+            p(text)
+        assert e.value.position == at
+        assert "exponent is above the limit of 10000" in str(e.value)
+    # a digit that int() reads, or cannot, but no ASCII digit
+    for text in ("x^\u00b2", "x^\u0663"):
+        with pytest.raises(PolyParseError) as e:
+            p(text)
+        assert e.value.position == 2
+    with pytest.raises(PolyParseError) as e:
+        close_presentation(parse_presentation("a^3 = a; a^99999 = a"))
+    assert e.value.position == 2
+    closed = close_presentation(parse_presentation("a^2 = a; a^10000 = 0"))
+    assert closed.algebra.size == 2
 
 
 def test_render_is_sorted_and_parses_back():
