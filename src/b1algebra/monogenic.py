@@ -318,22 +318,9 @@ def _saturate_power_rule(rels, cap):
     return found_rule()
 
 
-def _close_in_power_algebra(ps, shift, rels):
-    """Exact congruence closure of the relations inside the power-rule
-    algebra whose shift table is given, as its representative table:
-    rep[x] is the least mask in x's class. A merge of a with b forces,
-    for every single monomial g, the merges of a+g with b+g and a*g with
-    b*g; arbitrary elements decompose into monomials, so this reaches
-    full compatibility."""
-    m = len(shift)
+def _relation_masks(ps, rels):
+    """The relations as pairs of masks of the power algebra of ps."""
     red = _reduction(ps, max([0] + [e for l, r in rels for e in l | r]))
-    parent = list(range(1 << m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def to_mask(exps):
         mask = 0
@@ -343,19 +330,48 @@ def _close_in_power_algebra(ps, shift, rels):
                 mask |= 1 << r
         return mask
 
-    work = [(to_mask(l), to_mask(r)) for l, r in rels]
+    return [(to_mask(l), to_mask(r)) for l, r in rels]
+
+
+def _congruence(shift, pairs, goal=None):
+    """find of the congruence generated by the pairs of masks in the
+    power algebra whose shift table is given. A merge of a with b forces,
+    for every single monomial g, the merges of a+g with b+g and a*g with
+    b*g; arbitrary elements decompose into monomials, so this reaches
+    full compatibility. Given a goal pair of masks, it stops as soon as
+    the two are merged."""
+    m = len(shift)
+    parent = list(range(1 << m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = list(pairs)
     while work:
         a, b = work.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
         parent[rb] = ra
+        if goal is not None and find(goal[0]) == find(goal[1]):
+            break
         for k in range(m):
             g = 1 << k
             work.append((a | g, b | g))
             work.append((shift[k][a], shift[k][b]))
+    return find
+
+
+def _close_in_power_algebra(ps, shift, rels):
+    """Exact congruence closure of the relations inside the power-rule
+    algebra whose shift table is given, as its representative table:
+    rep[x] is the least mask in x's class."""
+    find = _congruence(shift, _relation_masks(ps, rels))
     least = {}
-    return [least.setdefault(find(x), x) for x in range(1 << m)]
+    return [least.setdefault(find(x), x) for x in range(1 << len(shift))]
 
 
 def _stated_power_rule(rels, cap):
@@ -462,14 +478,50 @@ def _refute_by_model(rels, cap):
             )
 
 
-def _trial_size(trial, ps, cap):
-    """The size of the quotient by a shrink trial of a placement with
-    power structure ps, or TooLarge or CollapsesZeroOne. A trial that
-    lost the power rule of ps is first tried against the models."""
+def _tropical_point(rels):
+    """Whether the relations hold at a = 1 or at a = -1 in the tropical
+    semiring (R with -inf, max, +), where a side takes the value of its
+    highest exponent, or minus its lowest, and an empty side -inf.
+
+    Sending a to x is a semiring map from the polynomials, and the powers
+    of x = 1 or -1 are pairwise distinct, so a point proves the quotient
+    infinite. No point proves nothing: 1 + a^3 = a + a^2 has none.
+    """
+
+    def holds(x):
+        return all(
+            max((x * e for e in l), default=None)
+            == max((x * e for e in r), default=None)
+            for l, r in rels
+        )
+
+    return holds(1) or holds(-1)
+
+
+def _implies(ps, shift, rels, rel):
+    """Whether rel holds in the closure of rels in the power algebra of
+    ps, whose shift table is given."""
+    goal = _relation_masks(ps, [rel])[0]
+    find = _congruence(shift, _relation_masks(ps, rels), goal)
+    return find(goal[0]) == find(goal[1])
+
+
+def _trial_presents(trial, dropped, ps, shift, n, models):
+    """Whether a shrink trial of a class of size n with power structure
+    ps still presents it, that is whether it implies the relation
+    dropped; the steps are set out in _derive_presentation."""
     rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
-    if _structure_relation(ps) not in trial:
-        _refute_by_model(rels, cap)
-    return len(set(_close(rels, cap)[2]))
+    rel = (_poly_exps(dropped[0]), _poly_exps(dropped[1]))
+    if _structure_relation(ps) in trial:
+        return _implies(ps, shift, rels, rel)
+    if _tropical_point(rels):
+        return False
+    if not all(_implies(q, shift_q, rels, rel) for q, shift_q in models):
+        return False
+    try:
+        return len(set(_close(rels, n)[2])) == n
+    except (TooLarge, CollapsesZeroOne):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -595,28 +647,30 @@ def _maximal(close, mask):
     return mask & ~covered
 
 
-def _derive_presentation(close, ps, result):
+def _derive_presentation(close, ps, shift, result, models):
     """A generating relation list, then greedily shrunk.
 
     Complete before shrinking: the power rule pins the exponent
     arithmetic, cover relations pin the order on powers, and antichain
-    join relations pin every remaining sum. Shrinking drops a relation
-    when the quotient by what is left has as many elements as the class.
-    That is exact: every relation of the complete list holds in the
-    class and a generates it, so the class is a quotient of the trial's
-    quotient, and two finite algebras of equal size joined by a
-    surjection are isomorphic. The trials are closed with cap = n, the
-    class's size, whenever 2 <= n <= CLOSE_CAP_LIMIT: a larger quotient
-    raises TooLarge, and one that maps onto the class has at least n
-    elements, so every size that comes back is n and the comparison
-    holds; it stays as the check of that argument. The final list is
-    re-closed and checked against the class.
+    join relations pin every remaining sum. The list kept so far always
+    presents the class C, of size n. A trial is that list minus one
+    relation r, so its quotient Q maps onto C, and Q is C exactly when r
+    holds in Q: then Q is the quotient by the kept list, and r holds in
+    C. Each trial is decided by the cheapest of four proofs:
 
-    A trial that still holds the power rule of ps is closed inside its
-    power algebra with no rewrite search. One that lost it is skipped
-    when its closure inside the power algebra of some ps' with
-    cap < 2^m' and m' <= cap has more than cap classes, a model proving
-    the quotient too large; otherwise close_presentation decides it.
+    1. A trial that still holds the power rule of ps has Q equal to its
+       closure in that power algebra (shift is its table), so it is kept
+       exactly when r's two sides close to one class there.
+    2. A trial with a tropical point has an infinite Q and is dropped.
+    3. A trial is dropped when r fails in its closure in some power
+       algebra of models, the (ps', shift table) pairs with m' <= n:
+       that closure is a quotient of Q.
+    4. Otherwise close_presentation's stages close it with cap n. It is
+       kept when the quotient has n elements; a raised error drops it. A
+       quotient that maps onto C has at least n elements, so the size
+       comparison stays as the check of the argument.
+
+    The final list is re-closed and checked against the class.
     """
     m = _structure_size(ps)
     rels = [_structure_relation(ps)]
@@ -636,7 +690,7 @@ def _derive_presentation(close, ps, result):
         if target != mask:
             rels.append((_exp_poly(_bits(mask)), _exp_poly(_bits(target))))
 
-    cap = min(CLOSE_CAP_LIMIT, max(2, result.algebra.size))
+    n = result.algebra.size
     kept = list(rels)
     changed = True
     while changed:
@@ -645,15 +699,11 @@ def _derive_presentation(close, ps, result):
             if len(kept) == 1:
                 break
             trial = kept[:idx] + kept[idx + 1 :]
-            try:
-                size = _trial_size(trial, ps, cap)
-            except (TooLarge, CollapsesZeroOne):
-                continue
-            if size == result.algebra.size:
+            if _trial_presents(trial, kept[idx], ps, shift, n, models):
                 kept = trial
                 changed = True
     final = Presentation(tuple(kept))
-    closed = close_presentation(final, cap)
+    closed = close_presentation(final, n)
     if not marked_isomorphic(
         closed.algebra, closed.generator, result.algebra, result.generator
     ):
@@ -661,10 +711,11 @@ def _derive_presentation(close, ps, result):
     return final
 
 
-def _assemble(ps, shift, close):
+def _assemble(ps, shift, close, models):
     """Build the canonical marked algebra for one placement: the
     quotient by its closure table, each element named by the maximal
-    powers of its closed set."""
+    powers of its closed set, with a presentation shrunk against the
+    models."""
     gen = close[_generator_mask(ps)]
     pinned = list(dict.fromkeys([0, close[1], gen]))
     rest = sorted(
@@ -693,7 +744,7 @@ def _assemble(ps, shift, close):
     alg = validate_algebra(names, best[0], best[1])
     assert alg.bottom == 0 and alg.unit == 1
     result = MonogenicAlgebra(alg, pinned.index(gen), Presentation(()))
-    pres = _derive_presentation(close, ps, result)
+    pres = _derive_presentation(close, ps, shift, result, models)
     return MonogenicAlgebra(alg, result.generator, pres)
 
 
@@ -705,11 +756,16 @@ def enumerate_monogenic(n, limit=ENUM_LIMIT):
         raise ValueError("sizes start at 2")
     if n > limit:
         raise SizeTooLarge(f"enumeration capped at {limit}; raise the limit to go on")
+    if n > CLOSE_CAP_LIMIT:
+        # the presentations are closed with cap n
+        raise SizeTooLarge(f"presentations close at most {CLOSE_CAP_LIMIT} elements")
     raw = []
-    tables = [(ps, _shift_table(ps)) for ps in _power_structures(n)]
+    # the shrink's models have m <= n; a placement has m < n powers
+    models = [(ps, _shift_table(ps)) for ps in _power_structures(n + 1)]
+    tables = [(ps, shift) for ps, shift in models if len(shift) < n]
     for L in enumerate_lattices(n):
         _search_lattice(L, tables, raw)
-    results = [_assemble(*placement) for placement in raw]
+    results = [_assemble(*placement, models) for placement in raw]
     keys = [canonical_key(r.algebra, r.generator) for r in results]
     assert len(set(keys)) == len(keys)
     return tuple(r for _, r in sorted(zip(keys, results), key=lambda t: t[0]))

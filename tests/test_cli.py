@@ -137,6 +137,11 @@ def test_monogenic_max_n_sets_the_size_cap(capsys):
         "input error: SizeTooLarge: enumeration capped at 2; "
         "raise the limit to go on\n"
     )
+    code, out = invoke(capsys, "monogenic", "13", "--max-n", "13")
+    assert code == 2
+    assert out == (
+        "input error: SizeTooLarge: presentations close at most 12 elements\n"
+    )
 
 
 def test_bad_integer_arguments_exit_2(capsys):

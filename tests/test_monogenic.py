@@ -35,7 +35,8 @@ from b1algebra.monogenic import (
     _shift_table,
     _structure_relation,
     _structure_size,
-    _trial_size,
+    _trial_presents,
+    _tropical_point,
     power_reduction_algebra,
 )
 
@@ -213,9 +214,9 @@ def kept_closure_tables(n):
     kept = []
     assemble = monogenic._assemble
 
-    def record(ps, shift, close):
+    def record(ps, shift, close, models):
         kept.append((ps, shift, close))
-        return assemble(ps, shift, close)
+        return assemble(ps, shift, close, models)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monogenic, "_assemble", record)
@@ -435,6 +436,17 @@ def test_enumeration_is_capped_by_default():
         enumerate_monogenic(9)
 
 
+def test_enumeration_refuses_sizes_beyond_the_close_cap(monkeypatch):
+    # the presentations of size 13 could never close, so no lattice is
+    # enumerated for them, whatever the limit
+    def no_lattices(n):
+        pytest.fail("enumerated lattices for a size that cannot close")
+
+    monkeypatch.setattr(monogenic, "enumerate_lattices", no_lattices)
+    with pytest.raises(SizeTooLarge, match="close at most 12"):
+        enumerate_monogenic(13, limit=13)
+
+
 def test_closure_family_oracle_agrees_through_six():
     for n in (2, 3, 4, 5):
         assert closure_family_count(n) == len(enumerate_monogenic(n))
@@ -459,31 +471,32 @@ def test_six_element_witness_class_beyond_the_formula():
 
 @pytest.fixture(scope="module")
 def shrink_trials():
-    """Every shrink trial of sizes 2..5 as (trial, ps, cap, size, cls):
-    the quotient size the shrink loop saw (None when it raised) and the
-    marked class being presented, recorded from an uncached
-    enumeration."""
+    """Every shrink trial of sizes 2..5 as (trial, dropped, ps, cap,
+    verdict, cls): the relation the trial drops, whether the shrink loop
+    kept the trial, and the marked class being presented, recorded from
+    an uncached enumeration."""
     calls = []
     current = []
 
-    def derive(close, ps, result):
+    def derive(close, ps, shift, result, models):
         current[:] = [result]
-        return _derive_presentation(close, ps, result)
+        return _derive_presentation(close, ps, shift, result, models)
 
-    def record(trial, ps, cap):
-        size = None
-        try:
-            size = _trial_size(trial, ps, cap)
-            return size
-        finally:
-            calls.append((tuple(trial), ps, cap, size, current[0]))
+    def record(trial, dropped, ps, shift, cap, models):
+        verdict = _trial_presents(trial, dropped, ps, shift, cap, models)
+        calls.append((tuple(trial), dropped, ps, cap, verdict, current[0]))
+        return verdict
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monogenic, "_derive_presentation", derive)
-        mp.setattr(monogenic, "_trial_size", record)
+        mp.setattr(monogenic, "_trial_presents", record)
         for n in (2, 3, 4, 5):
             enumerate_monogenic.__wrapped__(n)
     return calls
+
+
+def exponent_sets(rels):
+    return [(_poly_exps(l), _poly_exps(r)) for l, r in rels]
 
 
 def assert_model_proof_is_sound(rels, cap):
@@ -514,22 +527,54 @@ def test_model_proofs_hold_on_small_relation_lists():
 
 def test_model_proofs_hold_on_every_shrink_trial(shrink_trials):
     proved = 0
-    for trial, ps, cap, _, _ in shrink_trials:
+    for trial, _, ps, cap, _, _ in shrink_trials:
         if _structure_relation(ps) in trial:
             continue
-        rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
-        proved += assert_model_proof_is_sound(rels, cap)
+        proved += assert_model_proof_is_sound(exponent_sets(trial), cap)
     assert proved > 0
 
 
 def test_every_trial_kept_on_size_closes_to_its_class(shrink_trials):
-    kept = [t for t in shrink_trials if t[3] == t[4].algebra.size]
+    kept = [t for t in shrink_trials if t[4]]
     assert kept
-    for trial, _, cap, _, cls in kept:
+    for trial, _, _, cap, _, cls in kept:
         closed = close_presentation(Presentation(trial), cap)
         assert marked_isomorphic(
             closed.algebra, closed.generator, cls.algebra, cls.generator
         )
+
+
+def test_every_shrink_verdict_is_whether_the_trial_closes_to_its_class(
+    shrink_trials,
+):
+    # the oracle: close the whole trial, with the shrink loop's cap
+    for trial, _, _, cap, verdict, cls in shrink_trials:
+        try:
+            size = close_presentation(Presentation(trial), cap).algebra.size
+        except (TooLarge, CollapsesZeroOne):
+            size = None
+        assert verdict == (size == cls.algebra.size)
+
+
+def test_tropical_point(shrink_trials):
+    def point(text):
+        return _tropical_point(exponent_sets(parse_presentation(text).relations))
+
+    # highest exponents agree at a = 1, lowest at a = -1
+    assert point("a + 1 = a")
+    assert point("a^2 + a = a^2")
+    assert point("a^2 + a = a; a^3 + a = a")
+    # infinite, as its models grow without bound, but with no point
+    assert not point("1 + a^3 = a + a^2")
+    assert not point("a^2 = a")
+    reached = [
+        t
+        for t in shrink_trials
+        if _structure_relation(t[2]) not in t[0]
+        and _tropical_point(exponent_sets(t[0]))
+    ]
+    assert reached
+    assert not any(t[4] for t in reached)
 
 
 def outcome(close):
@@ -561,9 +606,9 @@ def assert_stated_rule_agrees_with_search(rels, cap):
 
 
 def test_power_rule_shortcut_agrees_with_close(shrink_trials):
-    with_rule = [t for t in shrink_trials if _structure_relation(t[1]) in t[0]]
+    with_rule = [t for t in shrink_trials if _structure_relation(t[2]) in t[0]]
     assert with_rule
-    for trial, ps, cap, _, _ in with_rule:
+    for trial, _, _, cap, _, _ in with_rule:
         assert_stated_rule_agrees_with_search(trial, cap)
     powers = [_exp_poly(())] + [_exp_poly((e,)) for e in range(5)]
     for ps in _power_structures(6):
