@@ -68,7 +68,6 @@ def _parser():
     c.add_argument("--list", action="store_true", help="print presentations")
     c.add_argument("--oracle", action="store_true", help="compare to table search")
     c.add_argument("--formula", action="store_true", help="compare to the quadratic")
-    c.add_argument("--max-n", type=int, default=None, help="raise the size cap")
 
     c = sub.add_parser("maxspec", help="points of the n-variable spectrum")
     c.add_argument("n", type=int)
@@ -177,10 +176,7 @@ def _cmd_monogenic(args):
     if args.n < 2:
         print("input error: sizes start at 2")
         return 2
-    if args.max_n is not None:
-        results = enumerate_monogenic(args.n, limit=args.max_n)
-    else:
-        results = enumerate_monogenic(args.n)
+    results = enumerate_monogenic(args.n)
     line = f"enumerated={len(results)}"
     mismatch = False
     if args.formula:

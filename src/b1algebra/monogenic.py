@@ -38,6 +38,8 @@ from .polynomial import Poly, parse_poly, render_poly
 
 CLOSE_CAP_LIMIT = 12
 ENUM_LIMIT = 8
+# the census closes its presentations with cap n
+assert ENUM_LIMIT <= CLOSE_CAP_LIMIT
 BRUTE_FORCE_LIMIT = 4
 VARS = ("a",)
 
@@ -670,6 +672,13 @@ def _derive_presentation(close, ps, shift, result, models):
        quotient that maps onto C has at least n elements, so the size
        comparison stays as the check of the argument.
 
+    One pass, last relation first, suffices. If the trial T = K - {r}
+    fails and the list later shrinks to K' inside K, then
+    T' = K' - {r} has cong(T') inside cong(T), which does not hold r,
+    so Q_T' = C would force Q_T = C. That needs exact verdicts: steps
+    1-3 are proofs, and no step-4 close may give up (TooLarge with
+    stage 'search'), which the census up to ENUM_LIMIT never meets.
+
     The final list is re-closed and checked against the class.
     """
     m = _structure_size(ps)
@@ -692,16 +701,12 @@ def _derive_presentation(close, ps, shift, result, models):
 
     n = result.algebra.size
     kept = list(rels)
-    changed = True
-    while changed:
-        changed = False
-        for idx in reversed(range(len(kept))):
-            if len(kept) == 1:
-                break
-            trial = kept[:idx] + kept[idx + 1 :]
-            if _trial_presents(trial, kept[idx], ps, shift, n, models):
-                kept = trial
-                changed = True
+    for idx in reversed(range(len(kept))):
+        if len(kept) == 1:
+            break
+        trial = kept[:idx] + kept[idx + 1 :]
+        if _trial_presents(trial, kept[idx], ps, shift, n, models):
+            kept = trial
     final = Presentation(tuple(kept))
     closed = close_presentation(final, n)
     if not marked_isomorphic(
@@ -749,16 +754,13 @@ def _assemble(ps, shift, close, models):
 
 
 @lru_cache(maxsize=None)
-def enumerate_monogenic(n, limit=ENUM_LIMIT):
+def enumerate_monogenic(n):
     """All marked-isomorphism classes of size-n algebras generated by
     one element, each with a verified presentation, sorted canonically."""
     if n < 2:
         raise ValueError("sizes start at 2")
-    if n > limit:
-        raise SizeTooLarge(f"enumeration capped at {limit}; raise the limit to go on")
-    if n > CLOSE_CAP_LIMIT:
-        # the presentations are closed with cap n
-        raise SizeTooLarge(f"presentations close at most {CLOSE_CAP_LIMIT} elements")
+    if n > ENUM_LIMIT:
+        raise SizeTooLarge(f"enumeration capped at {ENUM_LIMIT}")
     raw = []
     # the shrink's models have m <= n; a placement has m < n powers
     models = [(ps, _shift_table(ps)) for ps in _power_structures(n + 1)]

@@ -354,11 +354,19 @@ def maxspec(variables):
     One point per subset of the variables, each verified against the
     battery: collapsing to zero under the subset's congruence must
     match evaluating under the subset's 0/1 assignment. Exhaustive
-    battery through 4 variables, seeded sample beyond. Distinctness of
-    the points is certified two ways: the zero set is recovered from
-    the congruence as {x : x equal to 0}, and for small n every pair
-    additionally gets an explicit witness polynomial re-checked on
-    both sides.
+    battery through 4 variables, seeded sample beyond. Both tests are
+    conjunctions over monomials: f collapses to zero exactly when each
+    of its monomials uses a zeroed variable, and f evaluates to 0 in
+    B1 exactly when each of its monomials does. So they agree on f
+    whenever they agree on each monomial of f, and the check runs once
+    per distinct battery monomial. Conversely a monomial on which they
+    disagree is itself a battery polynomial whenever the battery holds
+    every monomial alone, as the exhaustive one does. A stride sample
+    of the battery checks the whole-polynomial evaluation against the
+    per-monomial values. Distinctness of the points is certified two
+    ways: the zero set is recovered from the congruence as
+    {x : x equal to 0}, and for small n every pair additionally gets
+    an explicit witness polynomial re-checked on both sides.
     """
     variables = tuple(variables)
     n = len(variables)
@@ -372,7 +380,10 @@ def maxspec(variables):
     else:
         battery = battery_polys(variables)
     scalars = b1_algebra()
-    monos = sorted({m for f in battery for m in f.monomials})
+    single = {
+        m: Poly(variables, frozenset((m,)))
+        for m in sorted({m for f in battery for m in f.monomials})
+    }
     points = []
     recovered = []
     for mask in range(1 << n):
@@ -381,25 +392,18 @@ def maxspec(variables):
             (v, 0 if mask >> i & 1 else 1) for i, v in enumerate(variables)
         )
         phi = dict(assignment)
-        # table-driven value of each monomial at this point
-        val = {
-            m: evaluate(Poly(variables, frozenset((m,))), scalars, phi)
-            for m in monos
+        killed = {
+            m: evaluate(f, scalars, phi) == scalars.bottom
+            for m, f in single.items()
         }
-        agrees = True
-        for k, f in enumerate(battery):
-            by_congruence = set_vars_to_zero(f, zero_set).is_zero()
-            by_evaluation = all(val[m] == scalars.bottom for m in f.monomials)
-            if k % 97 == 0 and by_evaluation != (
-                evaluate(f, scalars, phi) == scalars.bottom
-            ):
-                # the unsplit evaluation path must agree with the
-                # per-monomial one on the stride sample
-                agrees = False
-                break
-            if by_congruence != by_evaluation:
-                agrees = False
-                break
+        agrees = all(
+            set_vars_to_zero(f, zero_set).is_zero() == killed[m]
+            for m, f in single.items()
+        ) and all(
+            (evaluate(f, scalars, phi) == scalars.bottom)
+            == all(killed[m] for m in f.monomials)
+            for f in battery[::97]
+        )
         points.append(
             SpectrumPoint(zero_set, assignment, agrees, len(battery))
         )

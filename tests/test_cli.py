@@ -1,6 +1,7 @@
 """End-to-end runs of the b1 command line tool."""
 import pytest
 
+from b1algebra import monogenic
 from b1algebra.cli import run
 
 CHAIN_ALGEBRA = """\
@@ -130,18 +131,23 @@ def test_monogenic_input_errors(capsys):
     assert "SizeTooLarge" in out
 
 
-def test_monogenic_max_n_sets_the_size_cap(capsys):
-    code, out = invoke(capsys, "monogenic", "3", "--max-n", "2")
+def test_monogenic_size_cap_is_fixed(capsys, monkeypatch):
+    code, out = invoke(capsys, "monogenic", "9")
     assert code == 2
-    assert out == (
-        "input error: SizeTooLarge: enumeration capped at 2; "
-        "raise the limit to go on\n"
-    )
-    code, out = invoke(capsys, "monogenic", "13", "--max-n", "13")
+    assert out == "input error: SizeTooLarge: enumeration capped at 8\n"
+
+    # refused before any lattice is enumerated
+    def no_lattices(n):
+        pytest.fail("enumerated lattices for a size beyond the cap")
+
+    monkeypatch.setattr(monogenic, "enumerate_lattices", no_lattices)
+    code, out = invoke(capsys, "monogenic", "13")
     assert code == 2
-    assert out == (
-        "input error: SizeTooLarge: presentations close at most 12 elements\n"
-    )
+    assert out == "input error: SizeTooLarge: enumeration capped at 8\n"
+    # the cap is not an option
+    code, out = invoke(capsys, "monogenic", "3", "--max-n", "3")
+    assert code == 2
+    assert out == ""
 
 
 def test_bad_integer_arguments_exit_2(capsys):

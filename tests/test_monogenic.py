@@ -8,6 +8,7 @@ and product compatibility reduces to the single monomial shift.
 """
 import hashlib
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from b1algebra.core_lattice import _irreducible_indices
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
     Presentation,
+    _close,
     _close_in_power_algebra,
     _derive_presentation,
     _exp_poly,
@@ -436,17 +438,6 @@ def test_enumeration_is_capped_by_default():
         enumerate_monogenic(9)
 
 
-def test_enumeration_refuses_sizes_beyond_the_close_cap(monkeypatch):
-    # the presentations of size 13 could never close, so no lattice is
-    # enumerated for them, whatever the limit
-    def no_lattices(n):
-        pytest.fail("enumerated lattices for a size that cannot close")
-
-    monkeypatch.setattr(monogenic, "enumerate_lattices", no_lattices)
-    with pytest.raises(SizeTooLarge, match="close at most 12"):
-        enumerate_monogenic(13, limit=13)
-
-
 def test_closure_family_oracle_agrees_through_six():
     for n in (2, 3, 4, 5):
         assert closure_family_count(n) == len(enumerate_monogenic(n))
@@ -470,29 +461,71 @@ def test_six_element_witness_class_beyond_the_formula():
 
 
 @pytest.fixture(scope="module")
-def shrink_trials():
-    """Every shrink trial of sizes 2..5 as (trial, dropped, ps, cap,
-    verdict, cls): the relation the trial drops, whether the shrink loop
-    kept the trial, and the marked class being presented, recorded from
-    an uncached enumeration."""
-    calls = []
+def shrink_run():
+    """The shrinks of sizes 2..5, recorded from an uncached enumeration.
+
+    trials: every trial as (trial, dropped, ps, cap, verdict, cls), the
+    relation the trial drops, whether the shrink loop kept the trial,
+    and the marked class being presented; finals: every final list as
+    (relations, ps, shift, cap, models); step4: the outcome of every
+    close a trial reached, None or the TooLarge stage.
+    """
+    run = SimpleNamespace(trials=[], finals=[], step4=[])
     current = []
 
     def derive(close, ps, shift, result, models):
         current[:] = [result]
-        return _derive_presentation(close, ps, shift, result, models)
+        final = _derive_presentation(close, ps, shift, result, models)
+        size = result.algebra.size
+        run.finals.append((final.relations, ps, shift, size, models))
+        return final
 
     def record(trial, dropped, ps, shift, cap, models):
+        current.append("trial")
         verdict = _trial_presents(trial, dropped, ps, shift, cap, models)
-        calls.append((tuple(trial), dropped, ps, cap, verdict, current[0]))
+        current.pop()
+        run.trials.append((tuple(trial), dropped, ps, cap, verdict, current[0]))
         return verdict
+
+    def step4(rels, cap):
+        inside = current[-1] == "trial"
+        try:
+            out = _close(rels, cap)
+        except TooLarge as err:
+            if inside:
+                run.step4.append(err.stage)
+            raise
+        if inside:
+            run.step4.append(None)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monogenic, "_derive_presentation", derive)
         mp.setattr(monogenic, "_trial_presents", record)
+        mp.setattr(monogenic, "_close", step4)
         for n in (2, 3, 4, 5):
             enumerate_monogenic.__wrapped__(n)
-    return calls
+    return run
+
+
+@pytest.fixture(scope="module")
+def shrink_trials(shrink_run):
+    return shrink_run.trials
+
+
+def test_no_relation_of_a_final_presentation_can_go(shrink_run):
+    # so one shrink pass leaves nothing for a second one
+    assert shrink_run.finals
+    for rels, ps, shift, cap, models in shrink_run.finals:
+        for idx, dropped in enumerate(rels):
+            trial = rels[:idx] + rels[idx + 1 :]
+            assert not _trial_presents(trial, dropped, ps, shift, cap, models)
+
+
+def test_no_step4_close_of_a_shrink_trial_gives_up(shrink_run):
+    # the one-pass argument needs exact verdicts
+    assert shrink_run.step4
+    assert "search" not in shrink_run.step4
 
 
 def exponent_sets(rels):

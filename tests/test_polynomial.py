@@ -27,7 +27,8 @@ from b1algebra.errors import (
     UnknownVariable,
     VariableMismatch,
 )
-from b1algebra.polynomial import MAX_EXPONENT
+from b1algebra import polynomial
+from b1algebra.polynomial import MAX_EXPONENT, Poly
 
 XY = ("x", "y")
 
@@ -196,6 +197,27 @@ def test_maxspec_shape_for_two_variables():
 def test_maxspec_point_count_doubles_per_variable():
     assert len(maxspec(("x",)).points) == 2
     assert len(maxspec(("x", "y", "z")).points) == 8
+
+
+def test_maxspec_reports_a_disagreement(monkeypatch):
+    variables = ("x1", "x2", "x3", "x4")
+    rep = maxspec(variables)
+    assert rep.battery_size == 88_642
+    assert all(pt.agrees and pt.checked == 88_642 for pt in rep.points)
+
+    # a congruence that never kills x1*x2 disagrees with evaluation
+    # exactly where x1 or x2 is zero
+    leaked = (1, 1, 0, 0)
+
+    def leaky(f, names):
+        kept = set_vars_to_zero(f, names).monomials
+        return Poly(f.variables, kept | (f.monomials & {leaked}))
+
+    monkeypatch.setattr(polynomial, "set_vars_to_zero", leaky)
+    rep = maxspec(variables)
+    assert len(rep.points) == 16
+    for pt in rep.points:
+        assert pt.agrees == (not {"x1", "x2"} & set(pt.zero_set))
 
 
 def test_maxspec_caps_the_variable_count():
