@@ -471,31 +471,31 @@ def shrink_run():
     close a trial reached, None or the TooLarge stage.
     """
     run = SimpleNamespace(trials=[], finals=[], step4=[])
-    current = []
+    state = SimpleNamespace(cls=None, in_trial=False)
 
     def derive(close, ps, shift, result, models):
-        current[:] = [result]
+        state.cls = result
         final = _derive_presentation(close, ps, shift, result, models)
         size = result.algebra.size
         run.finals.append((final.relations, ps, shift, size, models))
         return final
 
     def record(trial, dropped, ps, shift, cap, models):
-        current.append("trial")
+        state.in_trial = True
         verdict = _trial_presents(trial, dropped, ps, shift, cap, models)
-        current.pop()
-        run.trials.append((tuple(trial), dropped, ps, cap, verdict, current[0]))
+        state.in_trial = False
+        run.trials.append((tuple(trial), dropped, ps, cap, verdict, state.cls))
         return verdict
 
     def step4(rels, cap):
-        inside = current[-1] == "trial"
+        # the final re-close also calls _close; only a trial's counts
         try:
             out = _close(rels, cap)
         except TooLarge as err:
-            if inside:
+            if state.in_trial:
                 run.step4.append(err.stage)
             raise
-        if inside:
+        if state.in_trial:
             run.step4.append(None)
         return out
 
