@@ -7,6 +7,9 @@ a: either some power dies (a^t = 0) or the sequence becomes periodic
 of powers. The enumerator walks exactly that data: a lattice, a power
 structure, and an injective placement of the distinct powers into the
 lattice, subject to the one compatibility law a product must satisfy.
+The law is tested for multiplication by a alone, which implies it for
+every power of a, on the powers placed so far, so a branch is cut at
+the first power that breaks it, with no check left for the leaves.
 It reaches each placement once per orbit of the lattice's automorphisms,
 by the stabilisers of the powers placed so far, and the powers
 join-generate the lattice exactly when they cover its join-irreducibles.
@@ -233,12 +236,15 @@ def _saturate_power_rule(rels, cap):
     of the overlap (an equal polynomial either way). Union-find over
     every polynomial seen, bounded in universe size and in degree, by
     twice the larger of cap and the highest exponent in the relations
-    plus a pad.
+    plus a pad. A polynomial is an int mask, bit e standing for a^e, so
+    a shift by a^c is << c and the kept parts of an overlap are its
+    submasks.
     Returns the smallest ('nil', t) or ('cycle', i, p) found with
     index+period <= cap, or None. Finding none does not prove none
     exists; the caller reports TooLarge honestly.
     """
-    top = max((e for l, r in rels for e in l | r), default=0)
+    pairs = [(sum(1 << e for e in l), sum(1 << e for e in r)) for l, r in rels]
+    top = max((l | r for l, r in pairs), default=0).bit_length() - 1
     degree_bound = 2 * max(cap, top) + _SATURATION_PAD
     ids = {}
     parent = []
@@ -263,28 +269,30 @@ def _saturate_power_rule(rels, cap):
         if ra != rb:
             parent[rb] = ra
 
+    # (side, other side, their highest exponents), both ways round
     sides = []
-    for l, r in rels:
-        sides.append((l, r))
-        sides.append((r, l))
+    for l, r in pairs:
+        lt, rt = max(l.bit_length() - 1, 0), max(r.bit_length() - 1, 0)
+        sides.append((l, r, lt, rt))
+        sides.append((r, l, rt, lt))
         union(intern(l), intern(r))
-    intern(frozenset())
+    intern(0)
     for e in range(degree_bound + 1):
-        intern(frozenset((e,)))
+        intern(1 << e)
 
     def found_rule():
-        zero = find(ids[frozenset()])
+        zero = find(ids[0])
         best = None
         for t in range(1, cap + 1):
-            if find(ids[frozenset((t,))]) == zero:
+            if find(ids[1 << t]) == zero:
                 best = ("nil", t)
                 break
         for m in range(1, cap + 1):
             if best is not None and _structure_size(best) <= m:
                 break
-            cm = find(ids[frozenset((m,))])
+            cm = find(ids[1 << m])
             for i in range(m):
-                if find(ids[frozenset((i,))]) == cm:
+                if find(ids[1 << i]) == cm:
                     best = ("cycle", i, m - i)
                     break
         return best
@@ -293,25 +301,21 @@ def _saturate_power_rule(rels, cap):
     while todo and len(parent) < _SATURATION_UNIVERSE:
         poly = todo.popleft()
         pid = ids[poly]
-        top = max(poly, default=0)
-        for lhs, rhs in sides:
-            lt = max(lhs, default=0)
-            rt = max(rhs, default=0)
+        top = max(poly.bit_length() - 1, 0)
+        for lhs, rhs, lt, rt in sides:
             c_hi = (top - lt) if lhs else (degree_bound - rt)
             for c in range(c_hi + 1):
-                shifted = frozenset(e + c for e in lhs)
-                if not shifted <= poly:
+                shifted = lhs << c
+                if shifted & ~poly or c + rt > degree_bound:
                     continue
-                if c + rt > degree_bound:
-                    continue
-                base = poly - shifted
-                target = frozenset(e + c for e in rhs)
-                overlap = tuple(shifted)
-                for keep in range(1 << len(overlap)):
-                    kept = frozenset(
-                        e for j, e in enumerate(overlap) if keep >> j & 1
-                    )
-                    union(pid, intern(target | base | kept))
+                rest = poly & ~shifted | rhs << c
+                # every submask of shifted, in increasing order
+                kept = 0
+                while True:
+                    union(pid, intern(rest | kept))
+                    if kept == shifted:
+                        break
+                    kept = (kept - shifted) & shifted
         processed += 1
         if processed % 32 == 0:
             rule = found_rule()
@@ -537,24 +541,43 @@ def _power_structures(n):
             yield ("cycle", i, m - i)
 
 
-def _mask_joins(L, g):
-    """join_of[mask] = lattice index of the join of {g[k] : k in mask}."""
-    m = len(g)
-    out = [L.bottom] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        out[mask] = L.sum[out[mask & (mask - 1)]][g[low]]
-    return out
-
-
 def _search_lattice(L, tables, out):
     """One valid power placement into a lattice per Aut(L) orbit, for
-    each power structure in tables, which pairs it with its shift table:
-    each power is least in its orbit under the stabiliser of the powers
-    before it, and every pruning is Aut(L)-invariant. missing counts the
-    join-irreducibles with no power yet; none may be left at the end."""
+    each power structure in tables, which pairs it with its shift table,
+    kept as (ps, shift, close): close[S] is the mask of the powers under
+    the join of the powers in S.
+
+    Power k goes to a non-bottom element e. Each power is least in its
+    orbit under the stabiliser of the powers before it, and every cut is
+    Aut(L)-invariant, so each orbit keeps one placement. missing counts
+    the join-irreducibles with no power yet; none may be left at the
+    end.
+
+    The product law: whenever a power sits under a join of powers,
+    multiplying every exponent by a^t preserves that. With below[x] the
+    mask of the powers placed under x and join_of[S] the join of the
+    powers in S, it reads shift[t][below[join_of[S]]] inside
+    below[join_of[shift[t][S]]] for every S. t = 1 suffices: shift[t]
+    is shift[1] applied t times and is monotone on masks, so shift[1]
+    applied to the law at S, followed by the law at shift[1][S], gives
+    the law for t = 2 at S, and so on.
+
+    below and join_of grow with each power placed, join_of by one
+    doubling, and after each the law is tested for every S of placed
+    powers whose image is placed too, on the placed powers alone. A
+    power placed later never changes which placed powers lie under an
+    element, so a violation there is one of every completion, and once
+    every power is placed the test is the whole law.
+
+    The periodic part is an antichain: a power there avoids the mask of
+    elements comparable to the periodic powers placed so far. The law
+    implies this, since a^j under a^k in the cycle gives a^k under
+    a^(2k-j) and so on round the cycle back to a^j, but the mask cuts
+    such a branch before its law can be read.
+    """
     n = L.size
-    le = [[L.sum[a][b] == b for b in range(n)] for a in range(n)]
+    up = [sum(1 << x for x in range(n) if L.sum[e][x] == x) for e in range(n)]
+    down = [sum(1 << x for x in range(n) if L.sum[x][e] == e) for e in range(n)]
     ji = _irreducible_indices(L)
     is_ji = [e in ji for e in range(n)]
     # the identity comes first and fixes everything
@@ -564,81 +587,47 @@ def _search_lattice(L, tables, out):
         m = len(shift)
         if m < len(ji):
             continue
-        red = _reduction(ps, 2 * m)
         cyc_start = ps[1] if ps[0] == "cycle" else m
-        g = []
-        used = [False] * n
+        # laws[k]: the pairs (S, shift[1][S]) within the powers 0..k
+        # one power has no law; the identity shift[0] states none
+        s1 = shift[1] if m > 1 else shift[0]
+        laws = [
+            [(s, s1[s]) for s in range(1 << k + 1) if not s1[s] >> k + 1]
+            for k in range(m)
+        ]
 
-        def compatible(k):
-            # one-sided power law on pairs involving the new exponent
-            for u in range(k):
-                for a, b in ((u, k), (k, u)):
-                    if not le[g[a]][g[b]]:
-                        continue
-                    for t in range(1, m):
-                        at, bt = red[a + t], red[b + t]
-                        if at is not None and at > k:
-                            continue
-                        if bt is not None and bt > k:
-                            continue
-                        left = L.bottom if at is None else g[at]
-                        right = L.bottom if bt is None else g[bt]
-                        if not le[left][right]:
-                            return False
-            return True
-
-        def rec(k, missing, stab):
-            # stab: the automorphisms besides the identity that fix g
+        def rec(k, used, comparable, missing, stab, below, join_of):
+            # stab: the automorphisms besides the identity that fix the
+            # powers placed so far
             if missing > m - k:
                 return
             if k == m:
-                _record(L, le, ps, shift, g, out)
+                out.append((ps, shift, [below[j] for j in join_of]))
                 return
+            bit = 1 << k
+            placed = 2 * bit - 1
             for e in range(1, n):
-                if used[e]:
+                if (used | comparable) >> e & 1:
                     continue
                 if stab and any(p[e] < e for p in stab):
                     continue
-                if k >= cyc_start:
-                    # the periodic part is an antichain
-                    if any(
-                        le[g[j]][e] or le[e][g[j]]
-                        for j in range(cyc_start, k)
-                    ):
-                        continue
-                g.append(e)
-                used[e] = True
-                if compatible(k):
-                    fix = [p for p in stab if p[e] == e]
-                    rec(k + 1, missing - is_ji[e], fix)
-                g.pop()
-                used[e] = False
+                over = up[e]
+                b = [x | bit if over >> j & 1 else x for j, x in enumerate(below)]
+                row = L.sum[e]
+                jo = join_of + [row[j] for j in join_of]
+                if any(s1[b[jo[s]]] & placed & ~b[jo[d]] for s, d in laws[k]):
+                    continue
+                rec(
+                    k + 1,
+                    used | 1 << e,
+                    comparable | (over | down[e] if k >= cyc_start else 0),
+                    missing - is_ji[e],
+                    [p for p in stab if p[e] == e],
+                    b,
+                    jo,
+                )
 
-        rec(0, len(ji), auts)
-
-
-def _record(L, le, ps, shift, g, out):
-    """Keep a placement that satisfies the product law as (ps, shift,
-    close), read off below[e], the mask of the powers placed under each
-    element e: close[S] is below at the join of the powers in S.
-
-    The law: whenever a power sits under a join of powers, multiplying
-    every exponent by a^t preserves that. Necessary for any product,
-    and sufficient for the join data to carry one. shift[t][1 << k] is
-    the bit of a^(k+t) reduced, so the law for the powers S and one t
-    is a single mask test. Most placements fail it, so only one that
-    passes gets its closure table.
-    """
-    n = L.size
-    m = len(g)
-    below = [sum(1 << k for k in range(m) if le[g[k]][e]) for e in range(n)]
-    join_of = _mask_joins(L, g)
-    if all(
-        shift[t][below[join_of[s]]] & ~below[join_of[shift[t][s]]] == 0
-        for s in range(1 << m)
-        for t in range(1, m)
-    ):
-        out.append((ps, shift, [below[j] for j in join_of]))
+        rec(0, 0, 0, len(ji), auts, [0] * n, [L.bottom])
 
 
 def _maximal(close, mask):

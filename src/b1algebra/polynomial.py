@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
+from math import comb
 
 from .algebra import b1_algebra
 from .errors import (
@@ -305,20 +307,22 @@ def battery_monomials(n):
     return out
 
 
+def _battery_choices(n):
+    """The monomial sets of battery_polys, in its order."""
+    mons = battery_monomials(n)
+    return chain.from_iterable(combinations(mons, r) for r in range(4))
+
+
 def battery_polys(variables):
     """Every poly with at most 3 monomials, exponents at most 2.
 
     Exhaustive for up to 4 variables; above that the caller samples.
     """
-    from itertools import combinations
-
     variables = tuple(variables)
-    mons = battery_monomials(len(variables))
-    out = []
-    for r in range(4):
-        for chosen in combinations(mons, r):
-            out.append(Poly(variables, frozenset(chosen)))
-    return out
+    return [
+        Poly(variables, frozenset(chosen))
+        for chosen in _battery_choices(len(variables))
+    ]
 
 
 def sampled_battery(variables, count, seed):
@@ -363,7 +367,10 @@ def maxspec(variables):
     disagree is itself a battery polynomial whenever the battery holds
     every monomial alone, as the exhaustive one does. A stride sample
     of the battery checks the whole-polynomial evaluation against the
-    per-monomial values. Distinctness of the points is certified two
+    per-monomial values. So the exhaustive battery is never built: its
+    size is counted from the combinations, its monomials are
+    battery_monomials(n), and only the stride sample becomes
+    polynomials. Distinctness of the points is certified two
     ways: the zero set is recovered from the congruence as
     {x : x equal to 0}, and for small n every pair additionally gets
     an explicit witness polynomial re-checked on both sides.
@@ -377,13 +384,18 @@ def maxspec(variables):
     sampled = n > 4
     if sampled:
         battery = sampled_battery(variables, 500, default_seed())
+        size = len(battery)
+        monomials = sorted({m for f in battery for m in f.monomials})
+        stride = battery[::97]
     else:
-        battery = battery_polys(variables)
+        size = sum(comb(3**n, r) for r in range(4))
+        monomials = battery_monomials(n)
+        stride = [
+            Poly(variables, frozenset(chosen))
+            for chosen in islice(_battery_choices(n), 0, None, 97)
+        ]
     scalars = b1_algebra()
-    single = {
-        m: Poly(variables, frozenset((m,)))
-        for m in sorted({m for f in battery for m in f.monomials})
-    }
+    single = {m: Poly(variables, frozenset((m,))) for m in monomials}
     points = []
     recovered = []
     for mask in range(1 << n):
@@ -402,11 +414,9 @@ def maxspec(variables):
         ) and all(
             (evaluate(f, scalars, phi) == scalars.bottom)
             == all(killed[m] for m in f.monomials)
-            for f in battery[::97]
+            for f in stride
         )
-        points.append(
-            SpectrumPoint(zero_set, assignment, agrees, len(battery))
-        )
+        points.append(SpectrumPoint(zero_set, assignment, agrees, size))
         # recovery: which single variables are congruent to zero here
         zp = zero_poly(variables)
         recovered.append(
@@ -430,6 +440,4 @@ def maxspec(variables):
                 zb = equal_mod_zero_set(w, zp, points[j].zero_set)
                 if za == zb:
                     distinguished = False
-    return MaxSpecReport(
-        variables, tuple(points), distinguished, len(battery), sampled
-    )
+    return MaxSpecReport(variables, tuple(points), distinguished, size, sampled)

@@ -7,7 +7,7 @@ families containing the full set (classes are keyed by their closure),
 and product compatibility reduces to the single monomial shift.
 """
 import hashlib
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +23,7 @@ from b1algebra import (
     zhu_formula,
 )
 from b1algebra import monogenic
-from b1algebra.core_lattice import _irreducible_indices
+from b1algebra.core_lattice import _irreducible_indices, enumerate_lattices
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
 from b1algebra.monogenic import (
     Presentation,
@@ -34,6 +34,7 @@ from b1algebra.monogenic import (
     _poly_exps,
     _power_structures,
     _refute_by_model,
+    _saturate_power_rule,
     _shift_table,
     _structure_relation,
     _structure_size,
@@ -170,6 +171,41 @@ def test_search_bound_reaches_the_highest_exponent():
         assert r.generator == 1
 
 
+def close_catalogue():
+    """The queries benchmark's close catalogue, as exponent sets: every
+    power rule a^m = (a sum of lower powers) with m <= 3, alone and with
+    each of nine extra relations."""
+    extras = [((2,), (1,)), ((3,), (1,)), ((4,), (2,)), ((0, 1), (0,)), ((1, 2), (2,)),
+              ((0, 3), (3,)), ((4,), (0,)), ((0, 2), (1,)), ((3,), (0, 1))]
+    out = []
+    for m in (1, 2, 3):
+        for mask in range(1 << m):
+            rule = (frozenset((m,)), frozenset(e for e in range(m) if mask >> e & 1))
+            out.append([rule])
+            out += [[rule, (frozenset(l), frozenset(r))] for l, r in extras]
+    return out
+
+
+def test_rewrite_search_answers_are_pinned():
+    """The rule the bounded rewrite search finds, or None, depends on the
+    order in which it reaches polynomials: pinned on the close catalogue
+    at cap 12 and on every binomial between 0, a^0 .. a^4 at caps 2..6."""
+    catalogue = close_catalogue()
+    assert len(catalogue) == 140
+    powers = [frozenset()] + [frozenset((e,)) for e in range(5)]
+    found = (
+        [_saturate_power_rule(rels, 12) for rels in catalogue],
+        [
+            _saturate_power_rule([rel], cap)
+            for cap in range(2, 7)
+            for rel in combinations(powers, 2)
+        ],
+    )
+    assert found[1].count(None) == 14
+    digest = hashlib.sha1(repr(found).encode()).hexdigest()
+    assert digest == "d6b0a1b5d122d964de09296ce8ca5f4ea1453054"
+
+
 def test_close_rejects_collapse():
     with pytest.raises(CollapsesZeroOne):
         close("a = 0; a = 1")
@@ -241,28 +277,154 @@ def test_kept_placements_are_closure_tables_with_the_shift_law():
                     assert shift[k][c] & ~close[shift[k][s]] == 0
 
 
+def searched_placements(n):
+    """(L, ps, close) for every placement the search completes in the
+    lattices L of size n, with the power structures of the census."""
+    tables = [(ps, _shift_table(ps)) for ps in _power_structures(n)]
+    out = []
+    for L in enumerate_lattices(n):
+        found = []
+        monogenic._search_lattice(L, tables, found)
+        out += [(L, ps, close) for ps, _, close in found]
+    return out
+
+
+def closure_irreducibles(close):
+    """The join-irreducibles of the lattice of the masks in close: the
+    members above the bottom that are not the closure of the union of
+    the members strictly under them."""
+    members = set(close)
+    out = set()
+    for c in members - {close[0]}:
+        under = 0
+        for d in members:
+            if d & c == d != c:
+                under |= d
+        if close[under] != c:
+            out.add(c)
+    return out
+
+
 def test_each_placement_is_reached_once():
     """Every placement the search completes puts a power on each
     join-irreducible, and no two share a lattice, a power structure and
     the masks of the powers under each element: two such placements
-    would differ by an automorphism of the lattice."""
+    would differ by an automorphism of the lattice.
+
+    A placement is read off its closure table alone: close[S] is the
+    mask of the powers under the join of the powers in S. The powers
+    join-generate L exactly when the joins give L.size distinct masks,
+    and then those masks, ordered by inclusion, are a copy of L in which
+    power k sits at close[1 << k]."""
     keys = []
-    record = monogenic._record
-
-    def wrap(L, le, ps, shift, g, *rest):
-        assert set(_irreducible_indices(L)) <= set(g)
-        below = [
-            sum(1 << k for k, x in enumerate(g) if L.sum[x][e] == e)
-            for e in range(L.size)
-        ]
-        keys.append((ps, frozenset(below), L.sum))
-        return record(L, le, ps, shift, g, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monogenic, "_record", wrap)
-        for n in range(2, 7):
-            enumerate_monogenic.__wrapped__(n)
+    for n in range(2, 7):
+        for L, ps, close in searched_placements(n):
+            assert len(set(close)) == L.size
+            irreducibles = closure_irreducibles(close)
+            assert len(irreducibles) == len(_irreducible_indices(L))
+            powers = {close[1 << k] for k in range(_structure_size(ps))}
+            assert irreducibles <= powers
+            keys.append((ps, frozenset(close), L.sum))
     assert len(set(keys)) == len(keys)
+
+
+def reduced_power(ps, e):
+    """The exponent that a^e reduces to under ps, or None when it dies."""
+    if ps[0] == "nil":
+        return e if e < ps[1] else None
+    i, p = ps[1], ps[2]
+    return e if e < i + p else i + (e - i) % p
+
+
+def lattice_automorphisms(L):
+    n = L.size
+    return [
+        q
+        for q in permutations(range(n))
+        if all(L.sum[q[x]][q[y]] == q[L.sum[x][y]] for x in range(n) for y in range(n))
+    ]
+
+
+def closure_table(L, g):
+    """close[S], the mask of the powers under the join of the powers in
+    S, for powers a^k at the lattice elements g[k]."""
+    out = []
+    for S in range(1 << len(g)):
+        top = L.bottom
+        for k, x in enumerate(g):
+            if S >> k & 1:
+                top = L.sum[top][x]
+        out.append(sum(1 << k for k, x in enumerate(g) if L.sum[x][top] == top))
+    return tuple(out)
+
+
+def valid_placement(L, ps, g):
+    """Whether powers a^0 .. a^(m-1) at the lattice elements g form a
+    census placement: they cover the join-irreducibles, the periodic
+    part is an antichain, and for every t >= 1, a power under a join of
+    powers stays, times a^t, under the join of those powers times a^t
+    (a power that dies is the bottom)."""
+    m = len(g)
+
+    def le(x, y):
+        return L.sum[x][y] == y
+
+    def join(powers):
+        out = L.bottom
+        for k in powers:
+            if k is not None:
+                out = L.sum[out][g[k]]
+        return out
+
+    if not set(_irreducible_indices(L)) <= set(g):
+        return False
+    periodic = range(ps[1], m) if ps[0] == "cycle" else ()
+    if any(le(g[j], g[k]) for j in periodic for k in periodic if j != k):
+        return False
+    for size in range(m + 1):
+        for S in combinations(range(m), size):
+            top = join(S)
+            under = [k for k in range(m) if le(g[k], top)]
+            # past t = m every power has died, or the exponents repeat
+            # with period p <= m
+            for t in range(1, 2 * m + 1):
+                image = join([reduced_power(ps, s + t) for s in S])
+                for k in under:
+                    r = reduced_power(ps, k + t)
+                    if r is not None and not le(g[r], image):
+                        return False
+    return True
+
+
+def test_search_keeps_one_placement_per_orbit_of_the_valid_ones():
+    """Brute force over the injective placements into the elements above
+    the bottom, for every lattice of size <= 5 and every power structure
+    with fewer powers than elements: the search returns exactly one
+    placement in each Aut(L)-orbit of the valid ones, read by its
+    closure table, which is constant on an orbit. Each orbit is one
+    class of the census."""
+    for n, count in zip(range(2, 6), (2, 3, 7, 14)):
+        found = {}
+        for L, ps, close in searched_placements(n):
+            key = (L.sum, ps, tuple(close))
+            found[key] = found.get(key, 0) + 1
+        want = {}
+        for L in enumerate_lattices(n):
+            auts = lattice_automorphisms(L)
+            for ps in _power_structures(n):
+                m = _structure_size(ps)
+                orbits = {}
+                for g in permutations(range(1, n), m):
+                    if not valid_placement(L, ps, g):
+                        continue
+                    orbit = frozenset(tuple(q[x] for x in g) for q in auts)
+                    orbits.setdefault(orbit, set()).add(closure_table(L, g))
+                closes = [c for cs in orbits.values() for c in cs]
+                assert all(len(cs) == 1 for cs in orbits.values())
+                assert len(set(closes)) == len(closes)
+                want.update({(L.sum, ps, c): 1 for c in closes})
+        assert len(want) == count
+        assert found == want
 
 
 def test_counts_match_the_proved_range():
