@@ -83,9 +83,9 @@ class TooLarge(B1Error):
     than `bound`; 'model' when a quotient of a power algebra with
     `size` elements satisfies the relations, which proves the same
     (close_presentation tries the models after a search that gave up;
-    the census's presentation shrink reads its models through
-    monogenic._implies instead, and drops a trial whose lost relation
-    fails in one without raising anything).
+    the census's presentation shrink asks monogenic._implies instead,
+    two closures of the lost relation's sides in each model, and drops
+    a trial whose lost relation fails in one without raising anything).
     """
 
     def __init__(self, message, stage, size=None, bound=None):

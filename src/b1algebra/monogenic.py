@@ -16,9 +16,12 @@ join-generate the lattice exactly when they cover its join-irreducibles.
 A kept placement is its closure table, close[S] the mask of the powers
 under the join of the powers in S. Every algebra here (a closed
 presentation, a census class, a power algebra) is the quotient of a
-power algebra by a representative table over its masks. Each class gets
-a presentation that is re-closed as a check, and a table-level brute
-force provides an independent count for small sizes.
+power algebra by a representative table over its masks. A congruence
+of a power algebra is a closure operator: each class has a largest
+member, reached from any member by Horn forward chaining over masks.
+Each class gets a presentation whose one close is checked against the
+class's canonical key, and a table-level brute force provides an
+independent count for small sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from itertools import permutations
 from .algebra import (
     FinAlgebra,
     canonical_key,
-    marked_isomorphic,
     validate_algebra,
 )
 from .canonical import least_relabeling, table_automorphisms
@@ -339,45 +341,59 @@ def _relation_masks(ps, rels):
     return [(to_mask(l), to_mask(r)) for l, r in rels]
 
 
-def _congruence(shift, pairs, goal=None):
-    """find of the congruence generated by the pairs of masks in the
-    power algebra whose shift table is given. A merge of a with b forces,
-    for every single monomial g, the merges of a+g with b+g and a*g with
-    b*g; arbitrary elements decompose into monomials, so this reaches
-    full compatibility. Given a goal pair of masks, it stops as soon as
-    the two are merged."""
-    m = len(shift)
-    parent = list(range(1 << m))
+def _rules(shift, pairs):
+    """The Horn rules of the congruence generated by the pairs of masks
+    in the power algebra whose shift table is given.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Each class is closed under union, so it has a largest member, and
+    the largest member of x's class is the least superset of x that
+    holds q whenever it holds p, for every rule (p, q). The rules are
+    the pairs moved by each monomial, both ways round: moved pairs are
+    again moved pairs, and a monomial distributes over union, so the
+    classes this gives are closed under the sum and the product.
+    """
+    return [
+        (p, q)
+        for l, r in pairs
+        for row in shift
+        for p, q in ((row[l], row[r]), (row[r], row[l]))
+        if q & ~p
+    ]
 
-    work = list(pairs)
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        if goal is not None and find(goal[0]) == find(goal[1]):
-            break
-        for k in range(m):
-            g = 1 << k
-            work.append((a | g, b | g))
-            work.append((shift[k][a], shift[k][b]))
-    return find
+
+def _closure(rules, x):
+    """The largest mask of x's class: Horn forward chaining from x."""
+    while True:
+        grown = x
+        for p, q in rules:
+            if p & grown == p:
+                grown |= q
+        if grown == x:
+            return x
+        x = grown
+
+
+def _implies(rules, goal):
+    """Whether the goal pair of masks is in the congruence of the rules:
+    each side lies in the closure of the other."""
+    l, r = goal
+    return not r & ~_closure(rules, l) and not l & ~_closure(rules, r)
 
 
 def _close_in_power_algebra(ps, shift, rels):
     """Exact congruence closure of the relations inside the power-rule
     algebra whose shift table is given, as its representative table:
-    rep[x] is the least mask in x's class."""
-    find = _congruence(shift, _relation_masks(ps, rels))
-    least = {}
-    return [least.setdefault(find(x), x) for x in range(1 << len(shift))]
+    rep[x] is the least mask in x's class. The closure of x is that of
+    x without its lowest bit, closed again with that bit added."""
+    rules = _rules(shift, _relation_masks(ps, rels))
+    top = [_closure(rules, 0)]
+    least = {top[0]: 0}
+    rep = [0]
+    for x in range(1, 1 << len(shift)):
+        below = top[x & (x - 1)]
+        top.append(below if x & below == x else _closure(rules, below | x))
+        rep.append(least.setdefault(top[x], x))
+    return rep
 
 
 def _stated_power_rule(rels, cap):
@@ -504,30 +520,37 @@ def _tropical_point(rels):
     return holds(1) or holds(-1)
 
 
-def _implies(ps, shift, rels, rel):
-    """Whether rel holds in the closure of rels in the power algebra of
-    ps, whose shift table is given."""
-    goal = _relation_masks(ps, [rel])[0]
-    find = _congruence(shift, _relation_masks(ps, rels), goal)
-    return find(goal[0]) == find(goal[1])
+def _relation_rules(ps, shift, rels):
+    """Each relation of rels, a pair of polynomials, mapped to its pair
+    of masks and its Horn rules in the power algebra of ps, whose shift
+    table is given."""
+    pairs = _relation_masks(ps, [(_poly_exps(l), _poly_exps(r)) for l, r in rels])
+    return {rel: (pair, _rules(shift, [pair])) for rel, pair in zip(rels, pairs)}
 
 
-def _trial_presents(trial, dropped, ps, shift, n, models):
+def _trial_presents(trial, dropped, ps, rules, n, models):
     """Whether a shrink trial of a class of size n with power structure
     ps still presents it, that is whether it implies the relation
-    dropped; the steps are set out in _derive_presentation."""
-    rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
-    rel = (_poly_exps(dropped[0]), _poly_exps(dropped[1]))
+    dropped; the steps are set out in _derive_presentation. rules holds
+    the masks and rules of the trial and dropped, from _relation_rules.
+    A kept trial's value is True, or the trial's close when step 4
+    decided it: its power rule, shift table and representative table."""
     if _structure_relation(ps) in trial:
-        return _implies(ps, shift, rels, rel)
+        trial_rules = [rule for rel in trial for rule in rules[rel][1]]
+        return _implies(trial_rules, rules[dropped][0])
+    rels = [(_poly_exps(l), _poly_exps(r)) for l, r in trial]
     if _tropical_point(rels):
         return False
-    if not all(_implies(q, shift_q, rels, rel) for q, shift_q in models):
-        return False
+    rel = (_poly_exps(dropped[0]), _poly_exps(dropped[1]))
+    for q, shift_q in models:
+        *pairs, goal = _relation_masks(q, [*rels, rel])
+        if not _implies(_rules(shift_q, pairs), goal):
+            return False
     try:
-        return len(set(_close(rels, n)[2])) == n
+        closed = _close(rels, n)
     except (TooLarge, CollapsesZeroOne):
         return False
+    return len(set(closed[2])) == n and closed
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +661,7 @@ def _maximal(close, mask):
     return mask & ~covered
 
 
-def _derive_presentation(close, ps, shift, result, models):
+def _derive_presentation(close, ps, shift, key, models):
     """A generating relation list, then greedily shrunk.
 
     Complete before shrinking: the power rule pins the exponent
@@ -668,7 +691,9 @@ def _derive_presentation(close, ps, shift, result, models):
     1-3 are proofs, and no step-4 close may give up (TooLarge with
     stage 'search'), which the census up to ENUM_LIMIT never meets.
 
-    The final list is re-closed and checked against the class.
+    The final list is closed once and checked against the class key:
+    the close of step 4 when that step decided the last kept trial,
+    otherwise the closure in the power algebra of ps.
     """
     m = _structure_size(ps)
     rels = [_structure_relation(ps)]
@@ -688,28 +713,34 @@ def _derive_presentation(close, ps, shift, result, models):
         if target != mask:
             rels.append((_exp_poly(_bits(mask)), _exp_poly(_bits(target))))
 
-    n = result.algebra.size
+    n = len(set(close))
+    rules = _relation_rules(ps, shift, rels)
     kept = list(rels)
+    closed = None
     for idx in reversed(range(len(kept))):
         if len(kept) == 1:
             break
         trial = kept[:idx] + kept[idx + 1 :]
-        if _trial_presents(trial, kept[idx], ps, shift, n, models):
+        verdict = _trial_presents(trial, kept[idx], ps, rules, n, models)
+        if verdict:
             kept = trial
+            closed = None if verdict is True else verdict
     final = Presentation(tuple(kept))
-    closed = close_presentation(final, n)
-    if not marked_isomorphic(
-        closed.algebra, closed.generator, result.algebra, result.generator
-    ):
+    if closed is None:
+        exps = [(_poly_exps(l), _poly_exps(r)) for l, r in kept]
+        closed = ps, shift, _close_in_power_algebra(ps, shift, exps)
+    q, shift_q, rep = closed
+    back = _algebra_from_classes(shift_q, rep, q, final)
+    if canonical_key(back.algebra, back.generator) != key:
         raise AssertionError("presentation does not close back to its algebra")
     return final
 
 
 def _assemble(ps, shift, close, models):
-    """Build the canonical marked algebra for one placement: the
-    quotient by its closure table, each element named by the maximal
-    powers of its closed set, with a presentation shrunk against the
-    models."""
+    """Build the canonical marked algebra for one placement, with its
+    canonical key: the quotient by its closure table, each element named
+    by the maximal powers of its closed set, with a presentation shrunk
+    against the models."""
     gen = close[_generator_mask(ps)]
     pinned = list(dict.fromkeys([0, close[1], gen]))
     rest = sorted(
@@ -737,9 +768,10 @@ def _assemble(ps, shift, close, models):
     )
     alg = validate_algebra(names, best[0], best[1])
     assert alg.bottom == 0 and alg.unit == 1
-    result = MonogenicAlgebra(alg, pinned.index(gen), Presentation(()))
-    pres = _derive_presentation(close, ps, shift, result, models)
-    return MonogenicAlgebra(alg, result.generator, pres)
+    generator = pinned.index(gen)
+    key = canonical_key(alg, generator)
+    pres = _derive_presentation(close, ps, shift, key, models)
+    return key, MonogenicAlgebra(alg, generator, pres)
 
 
 @lru_cache(maxsize=None)
@@ -756,10 +788,9 @@ def enumerate_monogenic(n):
     tables = [(ps, shift) for ps, shift in models if len(shift) < n]
     for L in enumerate_lattices(n):
         _search_lattice(L, tables, raw)
-    results = [_assemble(*placement, models) for placement in raw]
-    keys = [canonical_key(r.algebra, r.generator) for r in results]
-    assert len(set(keys)) == len(keys)
-    return tuple(r for _, r in sorted(zip(keys, results), key=lambda t: t[0]))
+    keyed = [_assemble(*placement, models) for placement in raw]
+    assert len({key for key, _ in keyed}) == len(keyed)
+    return tuple(r for _, r in sorted(keyed, key=lambda t: t[0]))
 
 
 def unmarked_count(results):
