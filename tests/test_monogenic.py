@@ -33,9 +33,9 @@ from b1algebra.monogenic import (
     _close_in_power_algebra,
     _derive_presentation,
     _exp_poly,
+    _implies,
     _poly_exps,
     _power_structures,
-    _implies,
     _refute_by_model,
     _relation_masks,
     _relation_rules,
@@ -299,7 +299,9 @@ def test_the_rewrite_search_runs_once_per_final_list_without_the_power_rule():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monogenic, "_saturate_power_rule", counted)
-        classes = [r for n in range(2, 7) for r in enumerate_monogenic.__wrapped__(n)]
+        classes = [
+            r for n in range(2, 7) for r in enumerate_monogenic.__wrapped__(n)
+        ]
     without = [
         r
         for r in classes
