@@ -21,9 +21,11 @@ and its remaining rows are built only after a smaller row.
 canonical_classes deduplicates isomorphism classes by the exact form
 of each candidate, so its cost is one form per candidate. Its callers
 pass few labeled copies per class: enumerate_posets a 0/1 order table
-for each class one size down and each of its down-sets, and
-all_monoids the tables of a search that cuts most relabeled copies by
-lex-leader tests (monoid_functor._monoid_tables). Lattices are
+for each class one size down and each of its down-sets above which the
+new element has a largest down-set among the maximal elements (583
+forms for the 405 classes of sizes 1 to 6, against 939 candidates),
+and all_monoids the tables of a search that cuts most relabeled copies
+by lex-leader tests (monoid_functor._monoid_tables). Lattices are
 generated one per class and need no deduplication.
 
 A lattice's join table with only its bottom pinned never splits under

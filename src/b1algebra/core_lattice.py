@@ -280,9 +280,22 @@ def meet(mod, a, b):
     return acc
 
 
+def _down_masks(mod):
+    """down[b]: the mask of the elements under b, read off the sum
+    table (a <= b iff a + b = b; the table is commutative)."""
+    return [
+        sum(1 << a for a, v in enumerate(row) if v == b)
+        for b, row in enumerate(mod.sum)
+    ]
+
+
 def _meet_table(mod):
-    n = mod.size
-    return [[meet(mod, a, b) for b in range(n)] for a in range(n)]
+    """meet(a, b) for every pair, read as the element whose down-set is
+    down[a] & down[b]: the common lower bounds of a and b are exactly
+    the elements under their meet."""
+    down = _down_masks(mod)
+    by_down = {d: x for x, d in enumerate(down)}
+    return [[by_down[da & db] for db in down] for da in down]
 
 
 def is_distributive(mod):
@@ -303,30 +316,28 @@ def is_modular(mod):
     """Checks a <= c implies a + (b^c) = (a+b)^c, first witness on failure."""
     n = mod.size
     mt = _meet_table(mod)
-    for a in range(n):
+    for a, row in enumerate(mod.sum):
+        above = [c for c in range(n) if row[c] == c]
         for b in range(n):
-            for c in range(n):
-                if not mod.leq(a, c):
-                    continue
-                if mod.sum[a][mt[b][c]] != mt[mod.sum[a][b]][c]:
+            for c in above:
+                if row[mt[b][c]] != mt[row[b]][c]:
                     return False, (a, b, c)
     return True, None
 
 
 def _irreducible_indices(mod):
+    """The join-irreducibles: the elements m that are not the join of
+    the elements strictly under them, which leaves out the bottom, the
+    join of none. These are the m other than the bottom that are no
+    join x + y of two elements other than m."""
     out = []
-    for m in range(mod.size):
-        if m == mod.bottom:
-            continue
-        reducible = False
-        for x in range(mod.size):
-            for y in range(x + 1, mod.size):
-                if x != m and y != m and mod.sum[x][y] == m:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
+    for m, d in enumerate(_down_masks(mod)):
+        acc = mod.bottom
+        strict = d & ~(1 << m)
+        while strict:
+            acc = mod.sum[acc][(strict & -strict).bit_length() - 1]
+            strict &= strict - 1
+        if acc != m:
             out.append(m)
     return tuple(out)
 
@@ -349,23 +360,23 @@ def _sub_poset(mod, idx):
     return FinPoset(names, leq)
 
 
+def _poset_down(poset):
+    """down[y]: the mask of the elements <= y."""
+    return [
+        sum(1 << x for x, row in enumerate(poset.leq) if row[y])
+        for y in range(poset.size)
+    ]
+
+
 def _downset_masks(poset):
-    n = poset.size
-    below = [0] * n  # below[x]: mask of everything <= x
-    for y in range(n):
-        for x in range(n):
-            if poset.leq[x][y]:
-                below[y] |= 1 << x
-    masks = []
-    for s in range(1 << n):
-        ok = True
-        for x in range(n):
-            if s >> x & 1 and below[x] & ~s:
-                ok = False
-                break
-        if ok:
-            masks.append(s)
-    return masks
+    """The down-sets in mask order: the masks s that are the union of
+    the down-sets of their members, that union grown bit by bit."""
+    below = _poset_down(poset)
+    closure = [0] * (1 << poset.size)
+    for s in range(1, len(closure)):
+        low = s & -s
+        closure[s] = closure[s ^ low] | below[low.bit_length() - 1]
+    return [s for s, c in enumerate(closure) if s == c]
 
 
 def _set_name(names, mask):
@@ -396,14 +407,11 @@ def birkhoff(mod):
     masks = _downset_masks(poset)
     target = _downset_module(poset, masks)
     pos = {m: i for i, m in enumerate(masks)}
-    mapping = []
-    for m in range(mod.size):
-        s = 0
-        for p, e in enumerate(idx):
-            if mod.leq(e, m):
-                s |= 1 << p
-        mapping.append(pos[s])
-    return ModuleMorphism(mod, target, tuple(mapping))
+    mapping = tuple(
+        pos[sum(1 << p for p, e in enumerate(idx) if d >> e & 1)]
+        for d in _down_masks(mod)
+    )
+    return ModuleMorphism(mod, target, mapping)
 
 
 def is_projective(mod):
@@ -617,17 +625,34 @@ def enumerate_posets(n):
     A poset with n > 0 elements has a maximal element, and removing it
     leaves a poset with n - 1 elements; so every class arises by
     putting a new element above a down-set of a class one size down.
+    Only a candidate whose new element has a down-set at least as large
+    as every other maximal element's takes an exact form (canonical
+    augmentation, McKay 1998): removing such an element from any
+    n-poset leaves a class one size down with the element above one of
+    its down-sets, so every class is still reached, and
+    canonical_classes merges the survivors. The candidate's other
+    maximal elements are the maximal elements of the class that are
+    not under the new one, with the down-sets they had there.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return (FinPoset((), ()),)
     new_row = (0,) * (n - 1) + (1,)
-    leqs = (
-        tuple(row + (s >> a & 1,) for a, row in enumerate(p.leq)) + (new_row,)
-        for p in enumerate_posets(n - 1)
-        for s in _downset_masks(p)
-    )
-    forms = canonical_classes(((t,) for t in leqs), n, relabel=(False,))
+    leqs = []
+    for p in enumerate_posets(n - 1):
+        down = _poset_down(p)
+        # (element, down-set size) of the maximal elements of p
+        tops = [
+            (b, d.bit_count())
+            for b, d in enumerate(down)
+            if sum(p.leq[b]) == 1
+        ]
+        for s in _downset_masks(p):
+            size = s.bit_count() + 1
+            if all(s >> b & 1 or k <= size for b, k in tops):
+                leq = tuple(row + (s >> a & 1,) for a, row in enumerate(p.leq))
+                leqs.append((leq + (new_row,),))
+    forms = canonical_classes(leqs, n, relabel=(False,))
     names = tuple(f"e{i}" for i in range(n))
     return tuple(FinPoset(names, t) for (t,) in forms)

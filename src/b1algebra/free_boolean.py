@@ -125,18 +125,18 @@ def free_extend(free, target, images):
     return ModuleMorphism(free, target, tuple(mapping))
 
 
+def _induced(free, perm):
+    """The automorphism of free that applies perm to each subset."""
+    mapping = [0] * free.size
+    for mask in range(1, free.size):
+        low = mask & -mask
+        mapping[mask] = mapping[mask ^ low] | 1 << perm.image[low.bit_length() - 1]
+    return InducedAutomorphism(free, free, tuple(mapping), perm)
+
+
 def perm_to_aut(perm):
     """The automorphism B |-> {perm(x) : x in B} of the free module."""
-    n = perm.size
-    free = free_module(n)
-    mapping = []
-    for mask in range(1 << n):
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << perm.image[i]
-        mapping.append(out)
-    return InducedAutomorphism(free, free, tuple(mapping), perm)
+    return _induced(free_module(perm.size), perm)
 
 
 def automorphisms(n):
@@ -154,9 +154,10 @@ def automorphisms(n):
         raise SizeTooLarge(
             f"rank {n} free module has 2^{n} elements; limit is {AUTOMORPHISM_LIMIT}"
         )
+    free = free_module(n)
     out = []
     for image in permutations(range(n)):
-        aut = perm_to_aut(Permutation(image))
+        aut = _induced(free, Permutation(image))
         try:
             _check_map(aut.source, aut.target, aut.map, ("bottom",), ("sum",))
         except LawViolation:

@@ -464,16 +464,23 @@ def _generator_mask(ps):
     return 0 if red[1] is None else 1 << red[1]
 
 
-def _algebra_from_classes(shift, rep, ps, presentation):
-    """The quotient named by the least mask of each class: 0, 1 and a
-    first, then the rest in mask order."""
+def _class_tables(shift, rep, ps):
+    """Names, sum and product tables and the generator's index of the
+    quotient named by the least mask of each class: 0, 1 and a first,
+    then the rest in mask order."""
     gen = rep[_generator_mask(ps)]
     elems = list(dict.fromkeys([0, rep[1], gen, *sorted(set(rep))]))
     sum_t, mul_t = _quotient_tables(shift, rep, elems)
     names = tuple(_compact(_exp_poly(_bits(x))) for x in elems)
+    return names, sum_t, mul_t, elems.index(gen)
+
+
+def _algebra_from_classes(shift, rep, ps, presentation):
+    """The validated quotient of _class_tables."""
+    names, sum_t, mul_t, gen = _class_tables(shift, rep, ps)
     alg = validate_algebra(names, sum_t, mul_t)
     assert alg.bottom == 0 and alg.unit == 1
-    return MonogenicAlgebra(alg, elems.index(gen), presentation)
+    return MonogenicAlgebra(alg, gen, presentation)
 
 
 def _refute_by_model(rels, cap):
@@ -693,7 +700,9 @@ def _derive_presentation(close, ps, shift, key, models):
 
     The final list is closed once and checked against the class key:
     the close of step 4 when that step decided the last kept trial,
-    otherwise the closure in the power algebra of ps.
+    otherwise the closure in the power algebra of ps. Its tables are
+    not validated: equal keys make them isomorphic to the class's
+    validated tables, so the laws hold.
     """
     m = _structure_size(ps)
     rels = [_structure_relation(ps)]
@@ -730,8 +739,9 @@ def _derive_presentation(close, ps, shift, key, models):
         exps = [(_poly_exps(l), _poly_exps(r)) for l, r in kept]
         closed = ps, shift, _close_in_power_algebra(ps, shift, exps)
     q, shift_q, rep = closed
-    back = _algebra_from_classes(shift_q, rep, q, final)
-    if canonical_key(back.algebra, back.generator) != key:
+    names, sum_t, mul_t, gen = _class_tables(shift_q, rep, q)
+    back = FinAlgebra(names, sum_t, 0, mul_t, 1)
+    if canonical_key(back, gen) != key:
         raise AssertionError("presentation does not close back to its algebra")
     return final
 

@@ -220,11 +220,7 @@ def all_monoids(n):
 
 def units(a):
     """The invertible elements, in index order."""
-    return tuple(
-        u
-        for u in range(a.size)
-        if any(a.mul[u][v] == a.unit for v in range(a.size))
-    )
+    return tuple(u for u in range(a.size) if a.unit in a.mul[u])
 
 
 def is_group(a):

@@ -26,7 +26,13 @@ from b1algebra import (
     enumerate_posets,
     powerset_module,
 )
+from b1algebra import canonical
 from b1algebra.canonical import canonical_tables
+from b1algebra.core_lattice import (
+    _downset_masks,
+    _irreducible_indices,
+    _meet_table,
+)
 from b1algebra.errors import (
     LawViolation,
     NotIdempotent,
@@ -380,6 +386,71 @@ def test_small_enumerations_are_pinned():
     ]
     digest = hashlib.sha1(repr(out).encode()).hexdigest()
     assert digest == "0da72c8a995aee400722dd0b6626602dad0cd88b"
+
+
+def test_posets_of_seven_are_pinned():
+    # OEIS A000112; the forms as the enumeration gave them when every
+    # candidate took an exact form
+    posets = enumerate_posets(7)
+    assert len(posets) == 2045
+    out = [(p.names, p.leq) for p in posets]
+    digest = hashlib.sha1(repr(out).encode()).hexdigest()
+    assert digest == "d8ffa80694be92237b3d9c2771e385cac4026689"
+
+
+def test_only_canonical_augmentations_take_a_form(monkeypatch):
+    # a candidate of size 6 is a class of size 5 with a new element
+    # above one of its down-sets; only those whose new element has a
+    # down-set as large as every other maximal element's are formed
+    candidates = sum(len(_downset_masks(p)) for p in enumerate_posets(5))
+    forms = []
+    tables = canonical.canonical_tables
+
+    def counted(*args, **kwargs):
+        forms.append(args)
+        return tables(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "canonical_tables", counted)
+    assert len(enumerate_posets.__wrapped__(6)) == 318
+    assert (len(forms), candidates) == (462, 766)
+
+
+def relabelled_lattices(max_size):
+    """Every enumerated lattice up to max_size, relabelled by the
+    reversal and by a rotation, so neither the bottom nor the top keeps
+    its index."""
+    for n in range(1, max_size + 1):
+        for mod in enumerate_lattices(n):
+            for perm in (tuple(reversed(range(n))), (*range(1, n), 0)):
+                inv = sorted(range(n), key=perm.__getitem__)
+                yield validate_module(
+                    [mod.names[x] for x in inv],
+                    [[perm[mod.sum[x][y]] for y in inv] for x in inv],
+                )
+
+
+def test_meet_tables_agree_with_meet():
+    for mod in relabelled_lattices(7):
+        n = mod.size
+        want = [[meet(mod, a, b) for b in range(n)] for a in range(n)]
+        assert _meet_table(mod) == want
+
+
+def test_irreducibles_agree_with_the_pairwise_scan():
+    for mod in relabelled_lattices(7):
+        n = mod.size
+        want = tuple(
+            m
+            for m in range(n)
+            if m != mod.bottom
+            and not any(
+                mod.sum[x][y] == m
+                for x in range(n)
+                for y in range(x + 1, n)
+                if m not in (x, y)
+            )
+        )
+        assert _irreducible_indices(mod) == want
 
 
 def test_lattices_of_eight_are_pinned():

@@ -311,6 +311,39 @@ def test_the_rewrite_search_runs_once_per_final_list_without_the_power_rule():
     assert len(calls) == len(without) == 11
 
 
+def test_the_census_validates_each_class_once():
+    # the closed-back algebra of a final list is compared by its key,
+    # with no law scan of its own
+    calls = []
+    validate = monogenic.validate_algebra
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "validate_algebra", counted)
+        classes = [
+            r for n in range(2, 6) for r in enumerate_monogenic.__wrapped__(n)
+        ]
+    assert len(calls) == len(classes) == 2 + 3 + 7 + 14
+
+
+def test_a_wrong_closed_back_table_still_fails_the_key_check():
+    # the unit's product row replaced by the bottom's breaks the laws;
+    # the key comparison alone must refuse it
+    tables = monogenic._class_tables
+
+    def wrong(shift, rep, ps):
+        names, sum_t, mul_t, gen = tables(shift, rep, ps)
+        return names, sum_t, (mul_t[0], mul_t[0], *mul_t[2:]), gen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monogenic, "_class_tables", wrong)
+        with pytest.raises(AssertionError, match="does not close back"):
+            enumerate_monogenic.__wrapped__(3)
+
+
 def kept_closure_tables(n):
     """The (ps, shift, close) of every placement the census keeps."""
     kept = []
