@@ -77,15 +77,16 @@ class SizeTooLarge(B1Error):
 class TooLarge(B1Error):
     """A presentation's quotient was not found within its element cap.
 
-    stage: 'search' when the bounded search for an implied power rule
-    gave up and no model was found, which does not prove the quotient
-    large; 'closure' when the exact quotient has `size` elements, more
-    than `bound`; 'model' when a quotient of a power algebra with
-    `size` elements satisfies the relations, which proves the same
-    (close_presentation tries the models after a search that gave up;
-    the census's presentation shrink asks monogenic._implies instead,
-    two closures of the lost relation's sides in each model, and drops
-    a trial whose lost relation fails in one without raising anything).
+    stage: 'search' when no power rule of size at most the cap follows
+    from the relations within the search's degree bound and no model
+    was found, which does not prove the quotient large; 'closure' when
+    the exact quotient has `size` elements, more than `bound`; 'model'
+    when a quotient of a power algebra with `size` elements satisfies
+    the relations, which proves the same (close_presentation tries the
+    models after a search that found no rule; the census's presentation
+    shrink asks monogenic._implies instead, two closures of the lost
+    relation's sides in each model, and drops a trial whose lost
+    relation fails in one without raising anything).
     """
 
     def __init__(self, message, stage, size=None, bound=None):

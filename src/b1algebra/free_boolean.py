@@ -113,8 +113,8 @@ def free_extend(free, target, images):
     if len(images) != free.basis_size:
         raise ValueError("one image per generator, please")
     for v in images:
-        if not 0 <= v < target.size:
-            raise ValueError(f"{v} is not an element of the target")
+        if not isinstance(v, int) or not 0 <= v < target.size:
+            raise ValueError(f"{v!r} is not an element of the target")
     mapping = []
     for mask in range(free.size):
         acc = target.bottom

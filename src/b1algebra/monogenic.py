@@ -26,7 +26,6 @@ independent count for small sizes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -207,7 +206,6 @@ def _bits(mask):
 # closing a presentation
 
 _SATURATION_PAD = 4
-_SATURATION_UNIVERSE = 4000
 
 
 def _scalar_value(exps, x):
@@ -233,97 +231,55 @@ def _check_not_collapsing(rels):
 def _saturate_power_rule(rels, cap):
     """Search for a power rule implied by the relations.
 
-    One-step rewrites: wherever a shifted relation side sits inside a
-    polynomial, replace it by the other side, optionally keeping part
-    of the overlap (an equal polynomial either way). Union-find over
-    every polynomial seen, bounded in universe size and in degree, by
-    twice the larger of cap and the highest exponent in the relations
-    plus a pad. A polynomial is an int mask, bit e standing for a^e, so
-    a shift by a^c is << c and the kept parts of an overlap are its
-    submasks.
-    Returns the smallest ('nil', t) or ('cycle', i, p) found with
-    index+period <= cap, or None. Finding none does not prove none
-    exists; the caller reports TooLarge honestly.
+    A Horn closure over the polynomials of degree at most D, twice the
+    larger of cap and the highest exponent in the relations plus a pad.
+    A polynomial is an int mask, bit e standing for a^e. Each relation
+    l = r, moved by every a^c that keeps both sides within D, gives the
+    rules l<<c -> r<<c and r<<c -> l<<c. The rules of one relation and
+    direction apply for every c at once: the shifts whose premise a mask
+    holds are the meet of the mask moved down by each bit of the
+    premise, and each bit of the conclusion moves them back up. a^t = 0
+    holds when bit t is in the closure of 0, and a^(i+p) = a^i when each
+    power lies in the closure of the other.
+    Returns the smallest ('nil', t) or ('cycle', i, p) with
+    index+period <= cap, nil before cycle at equal size, or None when
+    no such rule follows within degree D. None does not prove that none
+    holds; the caller reports TooLarge honestly.
     """
     pairs = [(sum(1 << e for e in l), sum(1 << e for e in r)) for l, r in rels]
     top = max((l | r for l, r in pairs), default=0).bit_length() - 1
     degree_bound = 2 * max(cap, top) + _SATURATION_PAD
-    ids = {}
-    parent = []
-    todo = deque()
-
-    def intern(poly):
-        if poly in ids:
-            return ids[poly]
-        ids[poly] = len(parent)
-        parent.append(len(parent))
-        todo.append(poly)
-        return ids[poly]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    # (side, other side, their highest exponents), both ways round
-    sides = []
+    # (premise bits, conclusion bits, the shifts c keeping both in bound)
+    families = []
     for l, r in pairs:
-        lt, rt = max(l.bit_length() - 1, 0), max(r.bit_length() - 1, 0)
-        sides.append((l, r, lt, rt))
-        sides.append((r, l, rt, lt))
-        union(intern(l), intern(r))
-    intern(0)
-    for e in range(degree_bound + 1):
-        intern(1 << e)
+        shifts = (1 << degree_bound + 2 - (l | r).bit_length()) - 1
+        families.append((_bits(l), _bits(r), shifts))
+        families.append((_bits(r), _bits(l), shifts))
 
-    def found_rule():
-        zero = find(ids[0])
-        best = None
-        for t in range(1, cap + 1):
-            if find(ids[1 << t]) == zero:
-                best = ("nil", t)
-                break
-        for m in range(1, cap + 1):
-            if best is not None and _structure_size(best) <= m:
-                break
-            cm = find(ids[1 << m])
-            for i in range(m):
-                if find(ids[1 << i]) == cm:
-                    best = ("cycle", i, m - i)
-                    break
-        return best
+    @lru_cache(maxsize=None)
+    def closure(x):
+        while True:
+            start = x
+            for premise, conclusion, shifts in families:
+                # one family, applied until it adds nothing
+                grown = None
+                while grown != x:
+                    grown = x
+                    held = shifts
+                    for b in premise:
+                        held &= x >> b
+                    for b in conclusion:
+                        x |= held << b
+            if x == start:
+                return x
 
-    processed = 0
-    while todo and len(parent) < _SATURATION_UNIVERSE:
-        poly = todo.popleft()
-        pid = ids[poly]
-        top = max(poly.bit_length() - 1, 0)
-        for lhs, rhs, lt, rt in sides:
-            c_hi = (top - lt) if lhs else (degree_bound - rt)
-            for c in range(c_hi + 1):
-                shifted = lhs << c
-                if shifted & ~poly or c + rt > degree_bound:
-                    continue
-                rest = poly & ~shifted | rhs << c
-                # every submask of shifted, in increasing order
-                kept = 0
-                while True:
-                    union(pid, intern(rest | kept))
-                    if kept == shifted:
-                        break
-                    kept = (kept - shifted) & shifted
-        processed += 1
-        if processed % 32 == 0:
-            rule = found_rule()
-            if rule is not None:
-                return rule
-    return found_rule()
+    for m in range(1, cap + 1):
+        if closure(0) >> m & 1:
+            return ("nil", m)
+        for i in range(m):
+            if closure(1 << m) >> i & 1 and closure(1 << i) >> m & 1:
+                return ("cycle", i, m - i)
+    return None
 
 
 def _relation_masks(ps, rels):
@@ -396,18 +352,6 @@ def _close_in_power_algebra(ps, shift, rels):
     return rep
 
 
-def _stated_power_rule(rels, cap):
-    """The smallest power rule of size at most cap that a relation
-    states outright, a^t = 0 or a^j = a^i with i < j, or None."""
-    stated = []
-    for l, r in rels:
-        if len(l) <= 1 and len(r) <= 1 and l != r:
-            i, *j = sorted(l | r)
-            stated.append(("cycle", i, j[0] - i) if j else ("nil", i))
-    fits = [q for q in stated if 1 <= _structure_size(q) <= cap]
-    return min(fits, key=_structure_size, default=None)
-
-
 def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     """The quotient of the one-variable polynomials by the relations,
     if it has at most cap elements.
@@ -415,15 +359,15 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
     Three stages: an exact test for the fatal 0 = 1 collapse, a power
     rule a^t = 0 or a^(i+p) = a^i of size at most cap that holds in the
     quotient, and an exact congruence closure inside that power rule's
-    algebra. The rule is read off a relation that states it; only when
-    none does, a bounded rewrite search looks for an implied one, and
-    only that search can give up. Closing in any power algebra whose
-    rule holds in the quotient gives the same classes and names. When
-    the search gives up, a model, the closure of the relations inside
-    a small power algebra with more than cap classes, proves the
-    quotient too large (TooLarge with stage 'model'); without one the
-    answer is TooLarge with stage 'search' rather than a guess.
-    TooLarge with stage 'closure' or 'model' is a proof.
+    algebra. The rule is the smallest that follows from the relations
+    in the polynomials of a bounded degree (_saturate_power_rule), and
+    only that search can fail. Closing in any power algebra whose rule
+    holds in the quotient gives the same classes and names. When no
+    rule follows, a model, the closure of the relations inside a small
+    power algebra with more than cap classes, proves the quotient too
+    large (TooLarge with stage 'model'); without one the answer is
+    TooLarge with stage 'search' rather than a guess. TooLarge with
+    stage 'closure' or 'model' is a proof.
     """
     if not 1 <= cap <= CLOSE_CAP_LIMIT:
         raise ValueError(f"cap must be between 1 and {CLOSE_CAP_LIMIT}")
@@ -434,16 +378,16 @@ def close_presentation(p, cap=CLOSE_CAP_LIMIT):
 
 def _close(rels, cap):
     """The stages of close_presentation on relations given as exponent
-    sets: returns the power rule, its shift table and the quotient's
-    representative table (the least mask of each class), or raises
-    CollapsesZeroOne or TooLarge."""
+    sets: returns the power rule that _saturate_power_rule finds, its
+    shift table and the quotient's representative table (the least mask
+    of each class), or raises CollapsesZeroOne or TooLarge."""
     _check_not_collapsing(rels)
-    ps = _stated_power_rule(rels, cap) or _saturate_power_rule(rels, cap)
+    ps = _saturate_power_rule(rels, cap)
     if ps is None:
         _refute_by_model(rels, cap)
         raise TooLarge(
-            "no power rule within the bound; the search gave up, which "
-            "does not prove the quotient infinite or larger than the cap",
+            "no power rule within the cap follows within the degree bound, "
+            "which does not prove the quotient infinite or larger than the cap",
             stage="search",
         )
     shift = _shift_table(ps)
@@ -695,8 +639,9 @@ def _derive_presentation(close, ps, shift, key, models):
     fails and the list later shrinks to K' inside K, then
     T' = K' - {r} has cong(T') inside cong(T), which does not hold r,
     so Q_T' = C would force Q_T = C. That needs exact verdicts: steps
-    1-3 are proofs, and no step-4 close may give up (TooLarge with
-    stage 'search'), which the census up to ENUM_LIMIT never meets.
+    1-3 are proofs, and no step-4 close may end without a power rule
+    (TooLarge with stage 'search'), which the census up to ENUM_LIMIT
+    never meets.
 
     The final list is closed once and checked against the class key:
     the close of step 4 when that step decided the last kept trial,

@@ -55,6 +55,12 @@ def test_free_extend_checks_image_count():
         free_extend(free_module(2), three_chain(), (1,))
 
 
+@pytest.mark.parametrize("image", [1.0, "1", -1, 3])
+def test_free_extend_checks_that_each_image_is_a_target_index(image):
+    with pytest.raises(ValueError, match="is not an element of the target"):
+        free_extend(free_module(2), three_chain(), (1, image))
+
+
 def test_automorphism_counts_are_factorials():
     assert [len(automorphisms(n)) for n in range(1, 5)] == [1, 2, 6, 24]
 

@@ -27,8 +27,10 @@ from b1algebra import monogenic
 from b1algebra.algebra import congruence_closure
 from b1algebra.core_lattice import _irreducible_indices, enumerate_lattices
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
+from b1algebra.polynomial import MAX_EXPONENT
 from b1algebra.monogenic import (
     Presentation,
+    _algebra_from_classes,
     _close,
     _close_in_power_algebra,
     _derive_presentation,
@@ -169,12 +171,23 @@ def test_close_rejects_infinite_quotients():
 
 
 def test_search_bound_reaches_the_highest_exponent():
-    # cap 3 is below the relation's exponent 4, so the rewrite search
-    # must reach degrees beyond 2 * cap to find a = 1
+    # cap 3 is below the relation's exponent 4, so the search for a
+    # power rule must reach degrees beyond 2 * cap to find a = 1
     for cap in (3, 4):
         r = close_presentation(parse_presentation("1 = a^3 + a^4"), cap=cap)
         assert r.algebra.names == ("0", "1")
         assert r.generator == 1
+
+
+def test_search_reaches_the_highest_exponent_a_polynomial_may_have():
+    # 1 <= a gives 1 <= a <= a^2 <= ... <= a^e, and a^e <= 1 closes the
+    # chain, so a = 1; the search moves 1 <= a up to a^e
+    for e in (1000, MAX_EXPONENT):
+        for cap in (3, 12):
+            p = parse_presentation(f"1 = 1 + a^{e}; a = a + 1")
+            r = close_presentation(p, cap=cap)
+            assert r.algebra.names == ("0", "1")
+            assert r.generator == 1
 
 
 def close_catalogue():
@@ -192,24 +205,29 @@ def close_catalogue():
     return out
 
 
-def test_rewrite_search_answers_are_pinned():
-    """The rule the bounded rewrite search finds, or None, depends on the
-    order in which it reaches polynomials: pinned on the close catalogue
-    at cap 12 and on every binomial between 0, a^0 .. a^4 at caps 2..6."""
+def test_power_rule_search_finds_the_power_structure_of_each_quotient():
+    """On the close catalogue at cap 12 and on every binomial between
+    0, a^0 .. a^4 at caps 2..6: wherever the quotient closes, the rule
+    the search finds is the quotient's own power structure, the smallest
+    rule that holds there."""
     catalogue = close_catalogue()
     assert len(catalogue) == 140
     powers = [frozenset()] + [frozenset((e,)) for e in range(5)]
-    found = (
-        [_saturate_power_rule(rels, 12) for rels in catalogue],
-        [
-            _saturate_power_rule([rel], cap)
-            for cap in range(2, 7)
-            for rel in combinations(powers, 2)
-        ],
-    )
-    assert found[1].count(None) == 14
-    digest = hashlib.sha1(repr(found).encode()).hexdigest()
-    assert digest == "d6b0a1b5d122d964de09296ce8ca5f4ea1453054"
+    cases = [(rels, 12) for rels in catalogue] + [
+        ([rel], cap) for cap in range(2, 7) for rel in combinations(powers, 2)
+    ]
+    found = [_saturate_power_rule(rels, cap) for rels, cap in cases]
+    assert found[140:].count(None) == 14
+    closed = 0
+    for (rels, cap), rule in zip(cases, found):
+        p = Presentation(tuple((_exp_poly(l), _exp_poly(r)) for l, r in rels))
+        try:
+            r = close_presentation(p, cap)
+        except (TooLarge, CollapsesZeroOne):
+            continue
+        closed += 1
+        assert rule == power_structure(r.algebra, r.generator)
+    assert closed == 128 + 19
 
 
 def test_close_rejects_collapse():
@@ -877,34 +895,36 @@ def outcome(close):
     return (r.algebra.names, r.algebra.sum, r.algebra.mul, r.generator)
 
 
-def assert_stated_rule_agrees_with_search(rels, cap):
-    """close_presentation reads a stated power rule off the relations
-    without a search; the other arm closes in the power algebra of the
-    rule that the rewrite search finds for the same relations."""
+def assert_close_agrees_with_the_stated_rule(rels, ps, cap):
+    """close_presentation, which searches for its power rule, against
+    the exact closure in the power algebra of ps, a rule that one of the
+    relations states: a rule that holds in the quotient gives the same
+    classes and names."""
     p = Presentation(tuple(rels))
+    shift = _shift_table(ps)
+    rep = _close_in_power_algebra(ps, shift, exponent_sets(rels))
 
-    def no_search(rels, cap):
-        pytest.fail("a relation list stating its power rule reached the search")
+    def direct():
+        size = len(set(rep))
+        if rep[1] == 0:
+            raise CollapsesZeroOne("the relations force 0 = 1")
+        if size > cap:
+            raise TooLarge("", stage="closure", size=size)
+        return _algebra_from_classes(shift, rep, ps, p)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monogenic, "_saturate_power_rule", no_search)
-        stated = outcome(lambda: close_presentation(p, cap))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monogenic, "_stated_power_rule", lambda rels, cap: None)
-        searched = outcome(lambda: close_presentation(p, cap))
-    assert stated == searched
+    assert outcome(lambda: close_presentation(p, cap)) == outcome(direct)
 
 
-def test_power_rule_shortcut_agrees_with_close(shrink_trials):
+def test_close_agrees_with_the_closure_in_the_stated_rules_algebra(shrink_trials):
     with_rule = [t for t in shrink_trials if _structure_relation(t[2]) in t[0]]
     assert with_rule
-    for trial, _, _, cap, _, _ in with_rule:
-        assert_stated_rule_agrees_with_search(trial, cap)
+    for trial, _, ps, cap, _, _ in with_rule:
+        assert_close_agrees_with_the_stated_rule(trial, ps, cap)
     powers = [_exp_poly(())] + [_exp_poly((e,)) for e in range(5)]
     for ps in _power_structures(6):
         # as in the shrink loop, the power rule is within the cap
         for cap in range(_structure_size(ps), 7):
             for rel in combinations(powers, 2):
-                assert_stated_rule_agrees_with_search(
-                    [_structure_relation(ps), rel], cap
+                assert_close_agrees_with_the_stated_rule(
+                    [_structure_relation(ps), rel], ps, cap
                 )
