@@ -27,7 +27,6 @@ from b1algebra import monogenic
 from b1algebra.algebra import congruence_closure
 from b1algebra.core_lattice import _irreducible_indices, enumerate_lattices
 from b1algebra.errors import CollapsesZeroOne, SizeTooLarge, TooLarge
-from b1algebra.polynomial import MAX_EXPONENT
 from b1algebra.monogenic import (
     Presentation,
     _algebra_from_classes,
@@ -50,6 +49,7 @@ from b1algebra.monogenic import (
     _tropical_point,
     power_reduction_algebra,
 )
+from b1algebra.polynomial import MAX_EXPONENT
 
 
 def close(text):
@@ -172,20 +172,15 @@ def test_close_rejects_infinite_quotients():
 
 def test_search_bound_reaches_the_highest_exponent():
     # cap 3 is below the relation's exponent 4, so the search for a
-    # power rule must reach degrees beyond 2 * cap to find a = 1
-    for cap in (3, 4):
-        r = close_presentation(parse_presentation("1 = a^3 + a^4"), cap=cap)
-        assert r.algebra.names == ("0", "1")
-        assert r.generator == 1
-
-
-def test_search_reaches_the_highest_exponent_a_polynomial_may_have():
-    # 1 <= a gives 1 <= a <= a^2 <= ... <= a^e, and a^e <= 1 closes the
-    # chain, so a = 1; the search moves 1 <= a up to a^e
-    for e in (1000, MAX_EXPONENT):
-        for cap in (3, 12):
-            p = parse_presentation(f"1 = 1 + a^{e}; a = a + 1")
-            r = close_presentation(p, cap=cap)
+    # power rule must reach degrees beyond 2 * cap to find a = 1; in the
+    # others 1 <= a gives 1 <= a <= ... <= a^e and a^e <= 1 closes the
+    # chain, up to the highest exponent a polynomial may have
+    cases = [("1 = a^3 + a^4", (3, 4))] + [
+        (f"1 = 1 + a^{e}; a = a + 1", (3, 12)) for e in (1000, MAX_EXPONENT)
+    ]
+    for text, caps in cases:
+        for cap in caps:
+            r = close_presentation(parse_presentation(text), cap=cap)
             assert r.algebra.names == ("0", "1")
             assert r.generator == 1
 
